@@ -32,7 +32,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		workers = flag.Int("workers", 0, "Monte-Carlo worker pool size (0 = GOMAXPROCS); results do not depend on it")
 		ci      = flag.Float64("ci", 0, "early-stop once the 95% CI is narrower than this width (0 = run all trials)")
-		dense   = flag.Bool("dense", false, "force the legacy whole-host Theorem 2 pipeline (disable the locality fast path)")
+		dense   = flag.Bool("dense", false, "force the dense whole-host Theorem 2 pipeline (the oracle of the footprint-local delta engine)")
 		indep   = flag.Bool("independent", false, "disable rate-ladder coupling: every sweep rung and threshold probe draws fresh independent samples (ablation)")
 	)
 	flag.Parse()

@@ -174,12 +174,12 @@ func (t *RandomFaultTorus) NewFaults() *Faults {
 }
 
 // AnchorRotatingFault returns the smallest host node whose lone fault
-// makes a cold extraction rotate the embedding anchor — the scenario in
-// which an incremental Session must re-arm its locality fast path to
-// keep serving warm column deltas. It returns -1 when no single node
-// rotates this host. Intended for regression tests, chaos drivers and
-// benchmarks that need a deterministic rotating fault; the scan runs up
-// to one full extraction per candidate node.
+// rotates the embedding anchor: the one commit that rewrites every
+// column of the map, after which a Session must keep serving warm column
+// deltas. It returns -1 when no single node rotates this host. Intended
+// for regression tests, chaos drivers and benchmarks that need a
+// deterministic rotating fault; the scan runs up to one extraction per
+// candidate node.
 func (t *RandomFaultTorus) AnchorRotatingFault() int { return t.g.FindAnchorRotatingFault() }
 
 // InjectRandom returns a fault set where each host node failed

@@ -50,8 +50,8 @@ type Process struct {
 	BurstRate float64
 	// BurstSize is the number of faults per burst (default 8).
 	BurstSize int
-	// BurstPattern is the adversary used for bursts (default
-	// fault.Cluster, the densest axis-aligned box).
+	// BurstPattern is the adversary used for bursts. The zero value is
+	// fault.Uniform; set fault.Cluster for the densest axis-aligned box.
 	BurstPattern fault.Pattern
 
 	// EdgeArrival is the flap rate of each healthy host edge; the

@@ -11,35 +11,43 @@ import "testing"
 func TestHotPathAllocs(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	faults.Add(g.NumNodes() / 2)
-	if _, err := g.ContainTorus(faults, ExtractOptions{Scratch: sc}); err != nil {
-		t.Fatalf("warmup ContainTorus: %v", err)
+	res, err := ses.Eval(faults)
+	if err != nil {
+		t.Fatalf("warmup Eval: %v", err)
 	}
+	bs := res.Bands
 	tpl, err := g.template()
 	if err != nil {
 		t.Fatalf("template: %v", err)
 	}
+	// One box matches the committed one (the footprint-copy callback), one
+	// is new (the re-interpolation callback, which drives colEval.setColumn
+	// and colEval.evalSlab over every footprint column), so a zero here
+	// pins all four.
+	faults.Add(g.NodeIndex(100, 100))
 	boxes, _, err := g.buildBoxes(faults, sc)
 	if err != nil {
 		t.Fatalf("buildBoxes: %v", err)
 	}
-	if len(boxes) == 0 {
-		t.Fatal("warmup produced no fault boxes")
+	if len(boxes) != 2 {
+		t.Fatalf("got %d fault boxes, want 2", len(boxes))
 	}
-
-	// interpolateFast drives colEval.setColumn and colEval.evalSlab over
-	// every footprint column, so a zero here pins all three.
-	bs, err := g.interpolateFast(boxes, sc, tpl, nil)
-	if err != nil {
-		t.Fatalf("interpolateFast: %v", err)
+	target := ses.bsA
+	if ses.cur == ses.bsA {
+		target = ses.bsB
+	}
+	if _, err := ses.interpolateDelta(boxes, tpl, target); err != nil {
+		t.Fatalf("interpolateDelta: %v", err)
 	}
 	if a := testing.AllocsPerRun(20, func() {
-		if _, err := g.interpolateFast(boxes, sc, tpl, nil); err != nil {
-			t.Fatalf("interpolateFast: %v", err)
+		if _, err := ses.interpolateDelta(boxes, tpl, target); err != nil {
+			t.Fatalf("interpolateDelta: %v", err)
 		}
 	}); a > 0 {
-		t.Errorf("interpolateFast: %v allocs/op, want 0", a)
+		t.Errorf("interpolateDelta: %v allocs/op, want 0", a)
 	}
 
 	n := g.P.N()

@@ -11,12 +11,12 @@ import (
 	"ftnet/internal/stats"
 )
 
-// Golden equivalence suite: the locality-aware fast path (copy-on-write
-// bands, dirty-column extraction, footprint verification) must produce
-// bit-identical bands, embeddings, reports and survival outcomes to the
-// legacy dense pipeline, across random seeds and the crafted patterns
-// that exercise its corner cases (multi-box, box extension, wrap,
-// dirty-anchor handling and rotation).
+// Golden equivalence suite: ContainTorus with a scratch — one Reset +
+// Eval on the delta engine, diffed against the all-defaults template —
+// must produce bit-identical bands, embeddings, reports and survival
+// outcomes to the dense pipeline, across random seeds and the crafted
+// patterns that exercise its corner cases (multi-box, box extension,
+// wrap, dirty-anchor handling and rotation).
 
 // runBoth executes one fault pattern through both pipelines and compares
 // everything. scFast is reused across calls on purpose: the restore
@@ -87,9 +87,10 @@ func TestEquivalenceCrafted2D(t *testing.T) {
 		// below the box bottom, triggering the box-extension pass.
 		{"box-extension", []int{g.NodeIndex(2*tile, 200)}},
 		{"wrap", []int{g.NodeIndex(m-1, n-1), g.NodeIndex(0, 150)}},
-		// Faults whose footprint touches column 0: the fast extraction
-		// walks the anchor component from column 0 first (see
-		// extractFast); results must still be identical.
+		// Faults whose footprint touches column 0: the anchor vector is
+		// re-derived first and every kept component is probed as an
+		// island (see extractIncremental); results must still be
+		// identical.
 		{"column-0", []int{g.NodeIndex(300, 0)}},
 		{"column-wrap", []int{g.NodeIndex(300, n-1)}},
 		// A tight cluster in one tile plus its diagonal neighbor: one
@@ -102,18 +103,17 @@ func TestEquivalenceCrafted2D(t *testing.T) {
 			faults.Add(u)
 		}
 		runBoth(t, g, faults, sc, c.label)
-		// Run the empty pattern after every crafted one: the fast path
-		// must fully restore its default state between trials.
+		// Run the empty pattern after every crafted one: Reset must fully
+		// restore the template state between trials.
 		runBoth(t, g, fault.NewSet(g.NumNodes()), sc, c.label+"+restore")
 	}
 }
 
-// TestEquivalenceAnchorRotation forces the rare extractFast branch where
-// the bands at column 0 genuinely move: the dense anchor then rotates
-// every clean column's row vector relative to the template, the fast
-// path degrades to one O(N) map fill, and the scratch drops its default
-// state. Results must still be bit-identical, and the next (clean) trial
-// must recover.
+// TestEquivalenceAnchorRotation forces the rare case where the bands at
+// column 0 genuinely move: the dense anchor then rotates every clean
+// column's row vector relative to the template, and the step re-derives
+// the whole map. Results must still be bit-identical, and the next
+// (clean) trial must restore the template.
 func TestEquivalenceAnchorRotation(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
@@ -122,15 +122,15 @@ func TestEquivalenceAnchorRotation(t *testing.T) {
 		faults := fault.NewSet(g.NumNodes())
 		faults.Add(g.NodeIndex(row, 0))
 		runBoth(t, g, faults, sc, fmt.Sprintf("anchor row=%d", row))
-		if !sc.fastInit {
-			rotations++ // the rotated branch dropped the default state
+		if sc.ses.anchorRotated() {
+			rotations++
 		}
 		runBoth(t, g, fault.NewSet(g.NumNodes()), sc, fmt.Sprintf("anchor row=%d +restore", row))
 	}
 	if rotations == 0 {
 		t.Error("no crafted pattern exercised the rotated-anchor branch")
 	}
-	t.Logf("rotated-anchor branch hit %d/4 times", rotations)
+	t.Logf("anchor rotated %d/4 times", rotations)
 }
 
 // TestScratchReuseAcrossGraphs moves one Scratch from a larger graph to
@@ -176,7 +176,7 @@ func TestEquivalenceRandom3D(t *testing.T) {
 	runBoth(t, g, faults, sc, "d=3 box-extension")
 }
 
-// TestParallelDeterminismEquivalence runs the fast path on the parallel
+// TestParallelDeterminismEquivalence runs the delta engine on the parallel
 // engine (the name keeps it inside CI's -race determinism sweep): the
 // committed survival count must be identical across worker counts and
 // equal to a serial dense-pipeline replay of the same trial streams.

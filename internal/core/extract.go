@@ -15,12 +15,12 @@ type ExtractOptions struct {
 	// Lemma 7 (path independence of P_{i,pi}). Costs one extra pass over
 	// all columns; enabled in tests, off in benchmarks.
 	CheckConsistency bool
-	// Dense forces the legacy whole-host pipeline: dense interpolation,
-	// full-BFS extraction and whole-graph verification, each O(N) per
-	// trial. The default (false) uses the locality-aware copy-on-write
-	// fast path whenever a Scratch is supplied and the fault footprint
-	// allows it (see locality.go); the golden equivalence tests assert
-	// the two modes produce bit-identical results.
+	// Dense forces the whole-host pipeline even when a Scratch is
+	// supplied: dense interpolation, full-BFS extraction and whole-graph
+	// verification, each O(N) per trial. It is the oracle and ablation
+	// for the delta engine (Session, session.go), which ContainTorus runs
+	// by default whenever a Scratch is supplied; the golden equivalence
+	// tests assert the two produce bit-identical results.
 	Dense bool
 	// Scratch, if non-nil, supplies reusable buffers for placement,
 	// extraction and verification, and bounds the pipeline's inner
@@ -40,20 +40,14 @@ type ExtractOptions struct {
 // node (psi_z(i), z). Callers should verify it with embed.Verify against
 // the faulty host.
 //
-// With a tracked band family (PlaceBandsScratch) and a Scratch, the
-// extraction consumes the family's dirty-column set and runs in
-// O(fault footprint) — see extractFast in locality.go; the BFS below is
-// the legacy dense path, kept behind ExtractOptions.Dense and as the
-// fallback when the fast path does not apply.
+// This is the dense extraction: one BFS over every column, O(N). It is
+// the oracle the delta engine's extractIncremental is pinned against.
 func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, error) {
 	p := g.P
 	n := p.N()
 	numCols := g.NumCols
 	if bs.K() != p.K() {
 		return nil, fterr.New(fterr.Internal, "core", "band family has %d bands, want %d", bs.K(), p.K())
-	}
-	if tpl := g.fastPath(bs, opts); tpl != nil {
-		return g.extractFast(bs, tpl, opts)
 	}
 
 	// Unmasked rows per column, in cyclic order anchored above band 0.
@@ -222,14 +216,24 @@ type Result struct {
 // place bands, extract the torus, and verify the embedding independently.
 // An *UnhealthyError means the fault pattern exceeded what the
 // construction tolerates (a survival failure); any other error is a bug.
-// With opts.Scratch set, the heavy buffers of all three stages are
-// reused, the Result aliases the scratch (see Scratch), and the whole
-// trial runs the locality-aware fast path — cost proportional to the
-// fault footprint, not the host size — unless opts.Dense forces the
-// legacy whole-host pipeline or the footprint disqualifies itself (see
-// fastPath in locality.go).
+// With opts.Scratch set, the trial is Reset + Eval on the delta engine
+// the scratch keeps for g: cost proportional to the fault footprint, not
+// the host size, and the Result aliases the scratch (see Scratch).
+// opts.Dense, opts.CheckConsistency or a nil Scratch select the dense
+// whole-host pipeline instead.
 func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, error) {
-	bs, rep, err := g.placeBands(faults, opts)
+	if sc := opts.Scratch; sc != nil && !opts.Dense && !opts.CheckConsistency {
+		ses := sc.sessionFor(g)
+		ses.Reset()
+		return ses.Eval(faults)
+	}
+	return g.containDense(faults, opts)
+}
+
+// containDense is the dense pipeline — placement, extraction and
+// verification, each O(N) — reusing opts.Scratch's buffers if set.
+func (g *Graph) containDense(faults *fault.Set, opts ExtractOptions) (*Result, error) {
+	bs, rep, err := g.placeBands(faults, opts.Scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -237,15 +241,9 @@ func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if tpl := g.fastPath(bs, opts); tpl != nil {
-		if err := g.verifyFast(emb, bs, faults, tpl, opts.Scratch); err != nil {
-			return nil, err
-		}
-	} else {
-		host := NewHostView(g, faults, nil)
-		if err := emb.VerifyBuf(host, opts.Scratch.seenBuf(g.NumNodes())); err != nil {
-			return nil, err
-		}
+	host := NewHostView(g, faults, nil)
+	if err := emb.VerifyBuf(host, opts.Scratch.seenBuf(g.NumNodes())); err != nil {
+		return nil, err
 	}
 	return &Result{Bands: bs, Embedding: emb, Report: rep}, nil
 }

@@ -21,13 +21,14 @@ import (
 // DisableVJump / DisableDJump remove an edge class for ablation studies
 // (experiments A1-A2); with either disabled the extraction of Lemma 6 must
 // fail, which the tests assert. Set them before the first pipeline call:
-// the lazily built locality template (see template.go) bakes the edge
+// the lazily built locality template (see locality.go) bakes the edge
 // classes in at first use.
 type Graph struct {
 	P           Params
 	ColShape    grid.Shape // (d-1)-dimensional column space, sides n
 	NumCols     int
 	cornerShape grid.Shape // (d-1)-dimensional tile-corner lattice, sides ColTiles
+	tileShape   grid.Shape // TileShape, cached for the allocation-free delta engine
 
 	DisableVJump bool
 	DisableDJump bool
@@ -37,7 +38,7 @@ type Graph struct {
 	chebOnce sync.Once
 	cheb     [][]int // the 3^d-1 Chebyshev neighbor deltas of a tile
 	tplOnce  sync.Once
-	tpl      *template // all-defaults template for the locality fast path
+	tpl      *template // all-defaults template: commit zero of every Session
 }
 
 // NewGraph builds the host description (adjacency is computed on the fly;
@@ -47,10 +48,12 @@ func NewGraph(p Params) (*Graph, error) {
 		return nil, err
 	}
 	cs := grid.Uniform(p.D-1, p.N())
-	return &Graph{
+	g := &Graph{
 		P: p, ColShape: cs, NumCols: cs.Size(),
 		cornerShape: grid.Uniform(p.D-1, p.ColTiles()),
-	}, nil
+	}
+	g.tileShape = g.TileShape()
+	return g, nil
 }
 
 // NumNodes returns m * n^{d-1}.

@@ -68,60 +68,21 @@ type faultBox struct {
 // passes bands.Set.Validate and masks every fault; if the fault pattern is
 // too dense or too clustered it returns an *UnhealthyError instead.
 func (g *Graph) PlaceBands(faults *fault.Set) (*bands.Set, *PlaceReport, error) {
-	return g.placeBands(faults, ExtractOptions{})
+	return g.placeBands(faults, nil)
 }
 
-// PlaceBandsScratch is PlaceBands with a scratch: sc supplies reusable
-// buffers for every placement stage and bounds the dense interpolation's
-// worker fan-out (sc.Workers). With a scratch the interpolation runs the
-// locality-aware copy-on-write path (see locality.go): the returned
-// family is tracked, aliases the scratch, and is valid only until the
-// scratch's next use. A nil sc behaves exactly like PlaceBands.
-func (g *Graph) PlaceBandsScratch(faults *fault.Set, sc *Scratch) (*bands.Set, *PlaceReport, error) {
-	return g.placeBands(faults, ExtractOptions{Scratch: sc})
-}
-
-func (g *Graph) placeBands(faults *fault.Set, opts ExtractOptions) (*bands.Set, *PlaceReport, error) {
-	return g.placeBandsInto(faults, opts, nil, false)
-}
-
-// placeBandsInto is placeBands with an optional explicit destination for
-// the interpolated family (dst nil uses the scratch's own set) and, for
-// the coupled rate-ladder pipeline, optionally deferred family checks:
-// with deferChecks the caller takes over Validate/checkAllMasked, so it
-// can restrict validation to the columns that changed since the previous
-// rung. dst is only honored on the tracked fast path (it must be a
-// copy-on-write set of matching geometry).
-func (g *Graph) placeBandsInto(faults *fault.Set, opts ExtractOptions, dst *bands.Set, deferChecks bool) (*bands.Set, *PlaceReport, error) {
-	sc := opts.Scratch
+// placeBands is the dense placement: buildBoxes, then the whole-host
+// interpolation, validated in full. sc (possibly nil) supplies buffers.
+func (g *Graph) placeBands(faults *fault.Set, sc *Scratch) (*bands.Set, *PlaceReport, error) {
 	boxes, rep, err := g.buildBoxes(faults, sc)
 	if err != nil {
 		return nil, rep, err
 	}
-
-	var bs *bands.Set
-	var tpl *template
-	if sc != nil && !opts.Dense {
-		// Template build failures (e.g. ablated edge classes) silently
-		// fall back to the dense path, which reports them on its own
-		// terms.
-		tpl, _ = g.template()
-	}
-	var validate func() error
-	if tpl != nil {
-		bs, err = g.interpolateFast(boxes, sc, tpl, dst)
-		validate = func() error { return bs.ValidateDirty() }
-	} else {
-		bs, err = g.interpolate(boxes, sc)
-		validate = func() error { return bs.Validate() }
-	}
+	bs, err := g.interpolate(boxes, sc)
 	if err != nil {
 		return nil, rep, err
 	}
-	if deferChecks && tpl != nil {
-		return bs, rep, nil
-	}
-	if err := validate(); err != nil {
+	if err := bs.Validate(); err != nil {
 		return nil, rep, fmt.Errorf("core: placed bands invalid: %w", err)
 	}
 	if err := g.checkAllMasked(bs, faults); err != nil {
@@ -636,7 +597,7 @@ func (g *Graph) buildPinned(boxes []*faultBox, sc *Scratch, cornerShape grid.Sha
 // colEval evaluates the band bottoms of one (slab, column) pair at a
 // time: corner lookups in the pinned table, multilinear blending between
 // pinned and default corners (Lemmas 9-11), monotone half-up rounding.
-// Both the dense sharded loop and the locality fast path drive the same
+// Both the dense sharded loop and the delta engine drive the same
 // evaluator, so the two paths share every rounding-sensitive instruction
 // and stay bit-identical.
 type colEval struct {
@@ -729,8 +690,8 @@ func (e *colEval) evalSlab(bs *bands.Set, slab, z int) {
 // box footprints, defaults elsewhere, multilinear blending in between
 // (Lemmas 9-11), rounded with the monotone half-up rule, evaluated for
 // every (slab, column) of the host. A non-nil sc with sc.Workers > 0
-// bounds the column-sharding fan-out. The locality-aware alternative is
-// interpolateFast (locality.go).
+// bounds the column-sharding fan-out. The footprint-local alternative is
+// the delta engine's interpolateDelta (session.go).
 func (g *Graph) interpolate(boxes []*faultBox, sc *Scratch) (*bands.Set, error) {
 	p := g.P
 	numSlabs := p.NumSlabs()
@@ -801,7 +762,7 @@ func (g *Graph) Tolerates(faults *fault.Set, sc *Scratch) error {
 	if err != nil {
 		return err
 	}
-	_, err = g.buildPinned(boxes, sc, grid.Uniform(g.P.D-1, g.P.ColTiles()))
+	_, err = g.buildPinned(boxes, sc, g.cornerShape)
 	return err
 }
 

@@ -9,17 +9,16 @@ import (
 	"ftnet/internal/rng"
 )
 
-// Regression suite for the fast-path re-arm: a fault that genuinely
-// rotates the anchor at a cold evaluation used to drop Scratch.fastInit
-// forever, parking the session on the dense path (and the daemon's delta
-// ring on 410 resyncs) for the rest of its life. After rearmRotated the
-// session must return to warm incremental evaluation on the very next
-// commit, stay bit-identical to the dense pipeline throughout, and
-// resume emitting real column deltas.
+// Regression suite for anchor rotation: a fault that genuinely rotates
+// the anchor rewrites every column of the map in one commit. The session
+// must stay warm through that commit — a rotation is an ordinary
+// anchor-changed step, never a fall back to the dense pipeline (which
+// would park the daemon's delta ring on 410 resyncs) — stay bit-identical
+// to the dense pipeline throughout, and keep emitting real column deltas.
 
-// TestSessionRearmAfterRotation drives the exact cliff scenario: rotating
-// fault at cold eval, then churn on the warm rotated state, then healing
-// the rotation away.
+// TestSessionRearmAfterRotation drives the cliff scenario: the rotating
+// fault at the first Eval after a Reset, then churn on the warm rotated
+// state, then healing the rotation away.
 func TestSessionRearmAfterRotation(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rot := g.FindAnchorRotatingFault()
@@ -31,20 +30,20 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := fault.NewSet(g.NumNodes())
 
+	ses.Reset()
 	faults.Add(rot)
-	ses.NoteAdded([]int{rot})
-	evalSessionBoth(t, g, ses, faults, "rotated cold eval")
-	if sc.rotated {
-		t.Fatal("scratch still flagged rotated after the re-arm")
+	evalSessionBoth(t, g, ses, faults, "rotated first eval")
+	if !ses.anchorRotated() {
+		t.Fatal("FindAnchorRotatingFault's fault did not rotate the anchor")
 	}
-	if !sc.fastInit {
-		t.Fatal("re-arm did not restore fastInit after the rotated extraction")
+	if len(ses.recomp) != g.NumCols {
+		t.Fatalf("rotating commit re-derived %d of %d columns", len(ses.recomp), g.NumCols)
 	}
-	if !ses.warm {
-		t.Fatal("session not warm after the rotated cold eval: the dense cliff is back")
+	if !ses.warm || sc.owner != ses {
+		t.Fatal("session not warm after the rotated first eval: the dense cliff is back")
 	}
 	if _, full := ses.DrainDelta(); !full {
-		t.Fatal("rotated cold eval must report a full delta (resync boundary)")
+		t.Fatal("the first eval after a Reset must report a full delta (resync boundary)")
 	}
 
 	// The very next commit must be a warm incremental one with a real

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ftnet/internal/bands"
 	"ftnet/internal/embed"
 	"ftnet/internal/fault"
 	"ftnet/internal/grid"
@@ -9,18 +8,18 @@ import (
 )
 
 // Scratch holds the per-trial working memory of the Theorem 2 pipeline —
-// the fault bitset, the copy-on-write band family, the extraction's row
-// maps and BFS queue, the guest torus, the embedding, and the verifiers'
-// bitmaps — so a Monte-Carlo worker can run trials back to back without
-// re-allocating the ~N-sized buffers each time. The parallel trial engine
-// creates one Scratch per worker (Options.NewScratch) and hands it to
-// every trial.
+// the fault bitset, the extraction's row maps and BFS queue, the guest
+// torus, the embedding, and the verifiers' bitmaps — so a Monte-Carlo
+// worker can run trials back to back without re-allocating the ~N-sized
+// buffers each time. The parallel trial engine creates one Scratch per
+// worker (Options.NewScratch) and hands it to every trial.
 //
-// Beyond buffer reuse, a Scratch is what makes the locality-aware fast
-// path (see locality.go) O(fault footprint): it keeps the row-map headers
-// and the embedding seeded with the graph's default template between
-// trials, and each trial restores only the columns the previous trial
-// dirtied before writing its own.
+// Beyond buffer reuse, a Scratch holds the committed state of the delta
+// engine (Session, session.go): the row-map headers and the embedding
+// stay seeded with the graph's default template between trials, and a
+// trial restores only the columns the previous one left deviating before
+// writing its own. ContainTorus with a Scratch runs one trial on a
+// Session the scratch keeps for its graph.
 //
 // Ownership: a Result produced with a Scratch aliases its buffers —
 // including Result.Bands and Result.Embedding — and is valid only until
@@ -36,8 +35,8 @@ type Scratch struct {
 	// interpolation. Trials dispatched by the parallel engine should set
 	// it to 1: the pool already saturates the CPUs, and per-trial
 	// goroutine fan-out would only add oversubscription. 0 means
-	// GOMAXPROCS (the default serial-caller behavior). The locality fast
-	// path is always serial (its work is footprint-sized).
+	// GOMAXPROCS (the default serial-caller behavior). The delta engine
+	// is always serial (its work is footprint-sized).
 	Workers int
 
 	faults  *fault.Set
@@ -49,8 +48,7 @@ type Scratch struct {
 	emb     *embed.Embedding
 
 	// Placement buffers.
-	ws          *bands.Set // copy-on-write band family, seeded per trial
-	tileSeen    []bool     // faultyTiles dedupe bitmap (kept all-false)
+	tileSeen    []bool // faultyTiles dedupe bitmap (kept all-false)
 	tileList    []int
 	pinnedVals  [][]float64 // dense pinned-corner table (kept all-nil)
 	pinnedKeys  []int
@@ -69,14 +67,13 @@ type Scratch struct {
 	consDst  []int32
 	movedBuf []movedBand
 
-	// Locality fast-path state. Valid only while fastGraph matches the
-	// current graph and no dense extraction has clobbered the buffers:
-	// rowmap points every column at the template's default rows except
-	// the prevDirty ones, emb holds the default map except the previously
-	// deviating columns, and devCols is all-false outside prevDirty.
-	fastGraph *Graph
-	fastInit  bool
-	rotated   bool // last extractFast left a rotated (whole-host) state
+	// Delta-engine state. While owner is non-nil the buffers describe
+	// owner's last commit on owner.g: rowmap points every column at the
+	// template's default rows except the prevDirty ones, emb holds the
+	// default map except the deviating columns, and devCols is all-false
+	// outside prevDirty. A dense extraction clobbers them and clears owner.
+	owner     *Session
+	ses       *Session // the session ContainTorus drives (sessionFor)
 	prevDirty []int32
 	devCols   []bool
 	cleanVec  []int32
@@ -89,6 +86,15 @@ type Scratch struct {
 // NewScratch returns a Scratch whose dense interpolation stage uses at
 // most workers goroutines (0 = GOMAXPROCS).
 func NewScratch(workers int) *Scratch { return &Scratch{Workers: workers} }
+
+// sessionFor returns the scratch's own session on g, replacing it when
+// the scratch moves to another graph.
+func (sc *Scratch) sessionFor(g *Graph) *Session {
+	if sc.ses == nil || sc.ses.g != g {
+		sc.ses = g.NewSession(sc, ExtractOptions{})
+	}
+	return sc.ses
+}
 
 // Faults returns an empty fault set over n nodes, reusing the previous
 // allocation when the universe size matches.
@@ -106,13 +112,12 @@ func (sc *Scratch) Faults(n int) *fault.Set {
 
 // rowBuffers returns numCols nil'd row-map headers plus their flat
 // backing array of numCols*n int32s. Used by the dense extraction, which
-// overwrites every header — so any fast-path state is invalidated.
+// overwrites every header — so any committed session state is invalidated.
 func (sc *Scratch) rowBuffers(numCols, n int) ([][]int32, []int32) {
 	if sc == nil {
 		return make([][]int32, numCols), make([]int32, numCols*n)
 	}
-	sc.fastInit = false
-	sc.rotated = false
+	sc.owner = nil
 	if cap(sc.rowmap) < numCols {
 		sc.rowmap = make([][]int32, numCols)
 	}
@@ -191,20 +196,6 @@ func (sc *Scratch) embedding(guest *torus.Graph) *embed.Embedding {
 		sc.emb = embed.New(guest)
 	}
 	return sc.emb
-}
-
-// bandsBuf returns the reusable copy-on-write band family, reallocating
-// when the geometry changed. SeedFrom pays the full template copy on a
-// fresh set and an O(previous footprint) restore afterwards.
-func (sc *Scratch) bandsBuf(m, w int, colShape grid.Shape, k int) *bands.Set {
-	if sc == nil {
-		return bands.NewSet(m, w, colShape, k)
-	}
-	ws := sc.ws
-	if ws == nil || ws.M != m || ws.Width != w || ws.K() != k || ws.NumColumns() != colShape.Size() {
-		sc.ws = bands.NewSet(m, w, colShape, k)
-	}
-	return sc.ws
 }
 
 // tileSeenBuf returns an all-false bitmap over the tile grid. Callers
@@ -371,8 +362,8 @@ func (sc *Scratch) dstBuf(n int) []int32 {
 	return sc.consDst[:n]
 }
 
-// cleanVecBuf returns the length-n buffer holding the clean-region row
-// vector when the anchor column is dirty (see extractFast).
+// cleanVecBuf returns the length-n buffer for the island probes of
+// extractIncremental.
 func (sc *Scratch) cleanVecBuf(n int) []int32 {
 	if cap(sc.cleanVec) < n {
 		sc.cleanVec = make([]int32, n)
@@ -394,8 +385,8 @@ func (sc *Scratch) colSeenBuf(m int) []int32 {
 }
 
 // faultColBuf returns the generation-counted per-column fault marker used
-// by the verifiers' single fault pass, freshly bumped: entries equal to
-// the returned generation mark columns holding at least one fault.
+// by verifyFaultPass, freshly bumped: entries equal to the returned
+// generation mark columns holding at least one fault.
 func (sc *Scratch) faultColBuf(numCols int) ([]int32, int32) {
 	if cap(sc.faultCol) < numCols {
 		sc.faultCol = make([]int32, numCols)
@@ -403,73 +394,4 @@ func (sc *Scratch) faultColBuf(numCols int) ([]int32, int32) {
 	}
 	sc.faultGen++
 	return sc.faultCol[:numCols], sc.faultGen
-}
-
-// ensureFast prepares the persistent fast-path state for one trial on
-// graph g: on first use (or after a graph switch or a dense extraction)
-// it points every row-map header at the template's default rows and fills
-// the embedding with the default map (O(N), paid once); afterwards it
-// restores only the columns the previous trial dirtied, in O(previous
-// footprint).
-func (sc *Scratch) ensureFast(g *Graph, tpl *template) (rowmap [][]int32, rowflat []int32, dev []bool, e *embed.Embedding, err error) {
-	p := g.P
-	n := p.N()
-	numCols := g.NumCols
-	guest, err := sc.guestTorus(p.D, n)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	e = sc.embedding(guest)
-	if cap(sc.rowmap) < numCols {
-		sc.rowmap = make([][]int32, numCols)
-		sc.fastInit = false
-	}
-	sc.rowmap = sc.rowmap[:numCols]
-	if cap(sc.rowflat) < numCols*n {
-		sc.rowflat = make([]int32, numCols*n)
-		sc.fastInit = false
-	}
-	if cap(sc.devCols) < numCols {
-		sc.devCols = make([]bool, numCols)
-		sc.fastInit = false
-	}
-	sc.devCols = sc.devCols[:numCols]
-	if sc.fastGraph != g {
-		sc.fastGraph = g
-		sc.fastInit = false
-	}
-	if !sc.fastInit {
-		for z := 0; z < numCols; z++ {
-			sc.rowmap[z] = tpl.defaultRows
-			sc.devCols[z] = false
-		}
-		for i := 0; i < n; i++ {
-			base := i * numCols
-			host := int(tpl.defaultRows[i]) * numCols
-			for z := 0; z < numCols; z++ {
-				e.Map[base+z] = host + z
-			}
-		}
-		sc.prevDirty = sc.prevDirty[:0]
-		sc.fastInit = true
-	} else {
-		for _, z32 := range sc.prevDirty {
-			z := int(z32)
-			sc.rowmap[z] = tpl.defaultRows
-			if sc.devCols[z] {
-				sc.devCols[z] = false
-				for i := 0; i < n; i++ {
-					e.Map[i*numCols+z] = int(tpl.defaultRows[i])*numCols + z
-				}
-			}
-		}
-		sc.prevDirty = sc.prevDirty[:0]
-	}
-	return sc.rowmap, sc.rowflat[:numCols*n], sc.devCols, e, nil
-}
-
-// notePrevDirty records the columns this trial overwrote, for the next
-// trial's restore.
-func (sc *Scratch) notePrevDirty(dirty []int32) {
-	sc.prevDirty = append(sc.prevDirty[:0], dirty...)
 }

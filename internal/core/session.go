@@ -1,18 +1,22 @@
-// Bidirectional delta evaluation for the Theorem 2 pipeline.
+// The delta-evaluation engine: the one incremental pipeline of the
+// Theorem 2 construction.
 //
 // A Session carries the pipeline state — copy-on-write band families,
 // row vectors, embedding, certification — across a sequence of Evals
 // whose fault sets differ by arbitrary mutations: additions, removals,
-// or both at once. Each Eval re-derives only the columns whose band
-// values actually changed since the last successful Eval, and its result
-// is bit-identical to a from-scratch dense evaluation of the same fault
-// set (the golden interleaving suite pins this). The monotone rate-ladder
-// sweep (SweepTrial) and the dynamic churn workloads (internal/churn) are
-// both thin clients of this engine.
+// or both at once. The all-defaults template (locality.go) is commit
+// zero: Reset makes it the committed state again, so the first Eval of a
+// trial is an ordinary step diffed against the template. Each Eval
+// re-derives only the columns whose band values actually changed since
+// the last commit, and its result is bit-identical to a from-scratch
+// dense evaluation of the same fault set (the golden interleaving suite
+// pins this). ContainTorus with a Scratch, the coupled rate ladder
+// (internal/sweep) and the churn workloads (internal/churn) are all
+// clients of this engine; the dense pipeline (Extract, and ContainTorus
+// without a Scratch) is its oracle and the -dense ablation.
 //
-// The reuse argument is the locality/path-independence argument the
-// per-trial fast path (locality.go) makes against the all-defaults
-// template, applied between two consecutive band families instead:
+// The reuse argument is the locality/path-independence argument of
+// Lemmas 5-7, applied between two consecutive band families:
 //
 //   - Placement (Lemmas 5, 9-11) makes every column's band values a pure
 //     function of the pinned corners in its own tile cell, so two
@@ -35,6 +39,13 @@
 //     is covered by the previous Eval's certification plus the template
 //     certificate.
 //
+// A rotated anchor is an ordinary commit. When a footprint moves the
+// bands at column 0, the anchor vector is re-derived first and every
+// kept component becomes an island probed on first contact; if the
+// anchor genuinely rotated, every island disagrees and the step
+// re-derives the whole map in O(N), after which later steps diff against
+// the rotated state like any other.
+//
 // Removal is where the two-sided diff earns its keep. A cleared fault
 // lets placement release the bands around its box, *healing* columns
 // back toward the template. Such a column is dirty in the previous
@@ -53,7 +64,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"ftnet/internal/bands"
@@ -77,16 +87,17 @@ const (
 // bookkeeping of which columns each Eval actually recomputed. A Session
 // wraps one Scratch and, like it, must never be shared by concurrent
 // trials; it stays valid across trials (call Reset at each trial start).
+// Several Sessions may take turns on one Scratch: one that finds the
+// scratch holding another's commit starts again from commit zero.
 type Session struct {
 	g    *Graph
 	sc   *Scratch
 	opts ExtractOptions
 
 	bsA, bsB *bands.Set
-	cur      *bands.Set // family described by the scratch's rowmap/embedding state
-	warm     bool       // scratch state valid for incremental reuse against cur
+	cur      *bands.Set // committed family: the template, or bsA/bsB
+	warm     bool       // cur is committed; false after Reset
 
-	touched   []int32 // columns re-derived at any Eval since Reset (== sc.prevDirty)
 	churnCols []int32 // columns whose fault membership changed since the last successful Eval
 
 	// Wire-delta accounting (DrainDelta): every embedding write since the
@@ -127,8 +138,9 @@ func (g *Graph) NewSession(sc *Scratch, opts ExtractOptions) *Session {
 	return &Session{g: g, sc: sc, opts: opts}
 }
 
-// Reset starts a new trial: the next Eval rebuilds the pipeline state
-// from scratch instead of diffing against the previous trial's state.
+// Reset starts a new trial: the next Eval makes the all-defaults
+// template the committed state and diffs against it instead of against
+// the previous trial's state.
 func (s *Session) Reset() {
 	s.warm = false
 	s.churnCols = s.churnCols[:0]
@@ -165,48 +177,43 @@ func (s *Session) NoteCleared(cleared []int) {
 // additions and removals, as long as every mutation since the last
 // successful Eval was reported through NoteAdded/NoteCleared. The Result
 // aliases the Session and is valid only until the next Eval or Reset.
-// An *UnhealthyError is a survival failure (state stays warm: the next
-// Eval diffs against the last healthy state); other errors are bugs.
+// An *UnhealthyError is a survival failure (the committed state stays:
+// the next Eval diffs against the last healthy state, or against the
+// template if none committed since Reset); other errors are bugs.
 //
 //ftnet:hotpath
 func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	g, sc := s.g, s.sc
 	if s.opts.Dense || sc == nil {
 		s.deltaFull = true
-		return g.ContainTorus(faults, s.opts)
+		return g.containDense(faults, s.opts)
 	}
 	tpl, err := g.template()
 	if err != nil {
 		// No usable template (e.g. ablated edge classes): every Eval runs
-		// the standalone pipeline, which reports such failures on its own
-		// terms.
+		// the dense pipeline, which reports such failures on its own terms.
 		s.deltaFull = true
-		return g.ContainTorus(faults, s.opts)
+		return g.containDense(faults, s.opts)
 	}
 	s.ensureBuffers()
+	if !s.warm || sc.owner != s {
+		if err := s.begin(tpl); err != nil {
+			return nil, err
+		}
+	}
 	target := s.bsA
 	if s.cur == s.bsA {
 		target = s.bsB
 	}
 	boxes, rep, err := g.buildBoxes(faults, sc)
 	if err != nil {
-		return nil, err // unhealthy box structure leaves the warm state untouched
+		return nil, err // unhealthy box structure leaves the committed state untouched
 	}
-	warm := s.warm && sc.fastInit && sc.fastGraph == g && s.cur != nil
-	var bs *bands.Set
-	if warm {
-		bs, err = s.interpolateDelta(boxes, tpl, target)
-	} else {
-		bs, err = g.interpolateFast(boxes, sc, tpl, target)
-	}
+	bs, err := s.interpolateDelta(boxes, tpl, target)
 	if err != nil {
-		return nil, err // unhealthy placements leave the warm state untouched
+		return nil, err // unhealthy placements leave the committed state untouched
 	}
 	res := &Result{Bands: bs, Report: rep}
-
-	if !warm {
-		return s.evalCold(bs, boxes, faults, tpl, res)
-	}
 
 	// Diff the new family against the last successful Eval's: every value
 	// difference lies inside the union of the two dirty sets (see the
@@ -250,9 +257,10 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 // padded segment list match a previous box exactly; it is demoted to
 // re-interpolation when any added or removed box sits close enough
 // (expanded footprints intersecting in every dimension) for its pins to
-// reach into a shared tile cell. The result is bit-identical to
-// interpolateFast on the same boxes; only the cost differs — a churn
-// event pays for the toggled box, not the standing population.
+// reach into a shared tile cell. The result is bit-identical to the
+// dense interpolation of the same boxes; only the cost differs — a churn
+// event pays for the toggled box, not the standing population. Against
+// commit zero (no previous boxes) every box is re-interpolated.
 //
 //ftnet:hotpath
 func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.Set) (*bands.Set, error) {
@@ -262,7 +270,7 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 	per := p.PerSlab()
 	numSlabs := p.NumSlabs()
 	cornerShape := g.cornerShape
-	tileShape := g.TileShape()
+	tileShape := g.tileShape
 
 	// Classify: copyable[i] means boxes[i] has an identical predecessor.
 	// matched[j] marks predecessors that found a successor; the rest were
@@ -395,12 +403,10 @@ func boxesInfluence(b, p *faultBox, tileShape grid.Shape) bool {
 func (s *Session) ensureBuffers() {
 	g := s.g
 	numCols := g.NumCols
-	if s.bsA == nil || s.bsA.K() != g.P.K() || s.bsA.M != g.P.M() || s.bsA.NumColumns() != numCols {
+	if s.bsA == nil {
 		p := g.P
 		s.bsA = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
 		s.bsB = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
-		s.cur = nil
-		s.warm = false
 	}
 	if cap(s.mark) < numCols {
 		s.mark = make([]int32, numCols)
@@ -415,61 +421,80 @@ func (s *Session) ensureBuffers() {
 	s.ncoord = s.ncoord[:g.P.D-1]
 }
 
-// evalCold runs the standalone extract+verify path (exactly ContainTorus
-// after placement) and, when it leaves the scratch in the reusable
-// fast-path state, marks the session warm for the next Eval.
-func (s *Session) evalCold(bs *bands.Set, boxes []*faultBox, faults *fault.Set, tpl *template, res *Result) (*Result, error) {
+// begin makes the all-defaults template the committed state: commit
+// zero. When the scratch holds a commit on this graph (this session's or
+// another's), it restores only the columns that commit left deviating;
+// otherwise (first use, another graph, or a dense extraction since) it
+// fills every column from the template in one O(N) pass.
+func (s *Session) begin(tpl *template) error {
 	g, sc := s.g, s.sc
-	s.deltaFull = true // extractFast rebuilds the whole embedding
-	if err := bs.ValidateDirty(); err != nil {
-		return nil, fmt.Errorf("core: placed bands invalid: %w", err)
-	}
-	if err := g.checkAllMasked(bs, faults); err != nil {
-		return nil, err
-	}
-	emb, err := g.extractFast(bs, tpl, s.opts)
+	n := g.P.N()
+	numCols := g.NumCols
+	guest, err := sc.guestTorus(g.P.D, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := g.verifyFast(emb, bs, faults, tpl, sc); err != nil {
-		return nil, err
+	e := sc.embedding(guest)
+	if o := sc.owner; o != nil && o.g == g {
+		for _, z32 := range sc.prevDirty {
+			z := int(z32)
+			sc.rowmap[z] = tpl.defaultRows
+			if sc.devCols[z] {
+				sc.devCols[z] = false
+				for i := 0; i < n; i++ {
+					e.Map[i*numCols+z] = int(tpl.defaultRows[i])*numCols + z
+				}
+			}
+		}
+	} else {
+		if cap(sc.rowmap) < numCols {
+			sc.rowmap = make([][]int32, numCols)
+		}
+		if cap(sc.devCols) < numCols {
+			sc.devCols = make([]bool, numCols)
+		}
+		if cap(sc.rowflat) < numCols*n {
+			sc.rowflat = make([]int32, numCols*n)
+		}
+		sc.rowmap = sc.rowmap[:numCols]
+		sc.devCols = sc.devCols[:numCols]
+		for z := range sc.rowmap {
+			sc.rowmap[z] = tpl.defaultRows
+			sc.devCols[z] = false
+		}
+		for i := 0; i < n; i++ {
+			host := int(tpl.defaultRows[i]) * numCols
+			for z := 0; z < numCols; z++ {
+				e.Map[i*numCols+z] = host + z
+			}
+		}
 	}
-	if sc.rotated {
-		// The anchor genuinely rotated and the extraction rewrote the
-		// whole host map. Re-arm the fast path from the just-verified
-		// state: the next Eval diffs against the rotated embedding
-		// incrementally instead of paying the dense rebuild forever.
-		g.rearmRotated(tpl, sc)
-	}
-	res.Embedding = emb
-	s.commit(bs, boxes)
-	return res, nil
+	sc.prevDirty = sc.prevDirty[:0]
+	sc.owner = s
+	s.cur = tpl.bs
+	s.prevBoxes = nil
+	s.warm = true
+	s.deltaFull = true
+	return nil
 }
 
 // commit records a successful Eval: the scratch's rowmap/dev/embedding
 // state now describes bs (placed from boxes), and sc.prevDirty (the
-// inter-trial restore list) must cover every column deviating from the
-// template — the union of everything any Eval since Reset re-derived.
+// inter-trial restore list, extended by extractIncremental) covers every
+// column deviating from the template.
 func (s *Session) commit(bs *bands.Set, boxes []*faultBox) {
-	sc := s.sc
 	s.cur = bs
 	s.prevBoxes = boxes
-	s.warm = sc.fastInit && sc.fastGraph == s.g
-	s.touched = append(s.touched[:0], sc.prevDirty...)
 	s.churnCols = s.churnCols[:0]
-	if len(s.recomp) > 0 {
-		s.recomp = s.recomp[:0]
-		s.oldDev = s.oldDev[:0]
-	}
 }
 
 // DrainDelta reports which embedding columns may have been rewritten
 // since the previous drain, accumulated across every Eval in between —
 // including failed ones, whose extractions can write embedding entries
 // before verification rejects the state. full reports that a
-// non-incremental rewrite happened (cold start, dense mode, template
-// fallback); cols is then nil and the caller must treat every column as
-// changed. Otherwise cols is sorted, deduplicated, caller-owned, and a
+// non-incremental rewrite happened (the first Eval after a Reset, dense
+// mode, template fallback); cols is then nil and the caller must treat
+// every column as changed. Otherwise cols is sorted, deduplicated, caller-owned, and a
 // superset of the truly changed columns (callers comparing maps filter
 // it exactly). Draining resets the accumulator.
 func (s *Session) DrainDelta() (cols []int32, full bool) {
@@ -730,4 +755,35 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 		}
 	}
 	return nil
+}
+
+// FindAnchorRotatingFault searches for the smallest node index whose
+// lone fault, evaluated from commit zero, genuinely rotates the
+// embedding anchor (see anchorRotated). Used by regression tests and
+// benchmarks that need a deterministic rotating fault; returns -1 when
+// no single node rotates this host.
+func (g *Graph) FindAnchorRotatingFault() int {
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	for u := 0; u < g.NumNodes(); u++ {
+		faults := sc.Faults(g.NumNodes())
+		faults.Add(u)
+		ses.Reset()
+		if _, err := ses.Eval(faults); err == nil && ses.anchorRotated() {
+			return u
+		}
+	}
+	return -1
+}
+
+// anchorRotated reports whether the committed state has a rotated
+// anchor: some column outside the committed family's dirty set — a
+// column with default bands — deviates from the default rows.
+func (s *Session) anchorRotated() bool {
+	for z, dev := range s.sc.devCols {
+		if dev && !s.cur.IsDirty(z) {
+			return true
+		}
+	}
+	return false
 }

@@ -96,7 +96,8 @@ func (c Config) sweepConfig() sweep.Config {
 // coreScratch is the standard per-worker scratch factory for trials
 // running the Theorem 2 pipeline: pooled buffers with inner parallelism
 // pinned to 1 so the trial pool owns all concurrency. The scratch also
-// enables the locality-aware fast path (unless Config.Dense disables it).
+// routes each trial through the delta engine diffed against the
+// all-defaults template (unless Config.Dense selects the dense pipeline).
 func coreScratch() any { return core.NewScratch(1) }
 
 // extractOpts is the standard per-trial pipeline options for a worker's

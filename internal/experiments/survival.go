@@ -159,11 +159,11 @@ func runE3(cfg Config) error {
 				placed := false
 				var placeErr error
 				if cfg.Dense {
-					// Honor the -dense ablation: the scratch-backed call
-					// below always takes the locality fast path.
 					_, _, placeErr = g.PlaceBands(faults)
 				} else {
-					_, _, placeErr = g.PlaceBandsScratch(faults, es.sc)
+					// Tolerates is the exact placement health probe: it
+					// runs only the stages that can reject the set.
+					placeErr = g.Tolerates(faults, es.sc)
 				}
 				if placeErr == nil {
 					placed = true

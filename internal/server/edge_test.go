@@ -130,6 +130,45 @@ func TestServeEdgeFaults(t *testing.T) {
 	}
 }
 
+// TestScratchExtractEdgeFaults pins the convergence oracle on a mixed
+// population: with one node fault and one edge fault committed,
+// ScratchExtract must charge the edge to its endpoint and return exactly
+// the served map.
+func TestScratchExtractEdgeFaults(t *testing.T) {
+	srv, ts := startServer(t, testConfig(t, nil))
+	topo := srv.topos["main"]
+	edges := hostEdges(t, topo, 1)
+	node := topo.host.HostNodes() / 2
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults", mutationRequest{Nodes: []int{node}}, nil); code != 200 {
+		t.Fatalf("POST faults: %d %s", code, body)
+	}
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/topologies/main/edge-faults", edgeMutationRequest{Edges: edges}, nil); code != 200 {
+		t.Fatalf("POST edge-faults: %d %s", code, body)
+	}
+	var emb embeddingResponse
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/topologies/main/embedding", nil, &emb); code != 200 {
+		t.Fatalf("GET embedding: %d", code)
+	}
+	if len(emb.Faults) != 1 || len(emb.EdgeFaults) != 1 {
+		t.Fatalf("served fault sets: faults=%v edges=%v", emb.Faults, emb.EdgeFaults)
+	}
+	want, err := srv.ScratchExtract("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Generation != emb.Generation {
+		t.Fatalf("ScratchExtract generation %d, served %d", want.Generation, emb.Generation)
+	}
+	if len(want.Map) != len(emb.Map) {
+		t.Fatalf("map sizes: ScratchExtract %d, served %d", len(want.Map), len(emb.Map))
+	}
+	for i := range want.Map {
+		if want.Map[i] != emb.Map[i] {
+			t.Fatalf("ScratchExtract differs from the served map at guest node %d", i)
+		}
+	}
+}
+
 // nonAdjacentPair returns two in-range nodes with no host edge.
 func nonAdjacentPair(t *testing.T, topo *topology) [2]int {
 	t.Helper()

@@ -15,15 +15,15 @@ import (
 )
 
 // TestAnchorRotationColdRestore is the daemon-level regression for the
-// dense-path cliff: a fault that rotates the embedding anchor at a COLD
-// evaluation used to drop the session's locality fast path forever, so
-// every later commit produced a Full delta — the ring answered every
-// ?since= with 410 and watch subscribers saw ChangedCols == -1 until a
-// restart. The cold rotated evaluation the server can actually hit is a
-// snapshot restore (construction replays the persisted fault set through
-// a fresh session), so the test plants the rotating fault, snapshots,
-// restarts, and asserts the restored daemon serves a real column delta
-// on the very next commit.
+// dense-path cliff: if a fault that rotates the embedding anchor at the
+// first evaluation of a session left the session off its incremental
+// path, every later commit would produce a Full delta — the ring would
+// answer every ?since= with 410 and watch subscribers would see
+// ChangedCols == -1 until a restart. The first rotated evaluation the
+// server can actually hit is a snapshot restore (construction replays
+// the persisted fault set through a fresh session), so the test plants
+// the rotating fault, snapshots, restarts, and asserts the restored
+// daemon serves a real column delta on the very next commit.
 func TestAnchorRotationColdRestore(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, func(c *Config) { c.SnapshotDir = dir })
@@ -50,9 +50,9 @@ func TestAnchorRotationColdRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 2: restart. Construction replays the rotating fault through a
-	// cold Reembed — the embedding comes back rotated and the session must
-	// have re-armed its fast path.
+	// Phase 2: restart. Construction replays the rotating fault through
+	// the session's first Reembed — the embedding comes back rotated and
+	// the session must stay incremental.
 	srv2, ts2 := startServer(t, cfg)
 	topo := srv2.topos["main"]
 	base := ts2.URL + "/v1/topologies/main"
@@ -74,9 +74,8 @@ func TestAnchorRotationColdRestore(t *testing.T) {
 	// observed exactly as a live client would see it.
 	events := watchCollect(t, ts2.URL+"/v1/topologies/main/watch", 2)
 
-	// One more fault, far from the rotating one. Before the re-arm this
-	// commit (and every later one) came out Full; now it must be a warm
-	// incremental step with a real column delta.
+	// One more fault, far from the rotating one: a warm incremental step
+	// with a real column delta, not a Full rewrite.
 	far := (topo.host.HostNodes()/topo.numCols/2)*topo.numCols + topo.numCols/2
 	if code, body := doJSON(t, "POST", base+"/faults", mutationRequest{Nodes: []int{far}}, nil); code != 200 {
 		t.Fatalf("POST far fault %d: %d %s", far, code, body)
@@ -112,7 +111,7 @@ func TestAnchorRotationColdRestore(t *testing.T) {
 		t.Fatal("post-restore delta does not reproduce the head snapshot")
 	}
 	if rec := topo.snap.Load().delta; rec.full {
-		t.Fatal("post-restore commit linked a full record: the session did not re-arm")
+		t.Fatal("post-restore commit linked a full record: the session left its incremental path")
 	}
 
 	// The watch stream resumed column diffs: the baseline event for the

@@ -1,13 +1,15 @@
 package server
 
 import (
+	"ftnet/internal/fault"
 	"ftnet/internal/fterr"
 	"ftnet/internal/wire"
 )
 
 // ScratchExtract recomputes the committed embedding of one hosted
 // topology from scratch: a fresh Extract over exactly the committed
-// fault set, sharing no state with the incremental session. The
+// fault set — node faults plus the endpoint each edge fault is charged
+// to — sharing no state with the incremental session. The
 // pipeline is deterministic and incremental reembedding is pinned
 // bit-identical to from-scratch extraction, so this is the convergence
 // oracle for resilience tests — a client that synced through chaos must
@@ -21,6 +23,9 @@ func (s *Server) ScratchExtract(id string) (*wire.Snapshot, error) {
 	f := t.host.NewFaults()
 	for _, v := range snap.FaultNodes {
 		f.Add(v)
+	}
+	for _, e := range snap.FaultEdges {
+		f.Add(fault.ChargedEndpoint(e[0], e[1]))
 	}
 	emb, err := t.host.Extract(f)
 	if err != nil {

@@ -4,8 +4,8 @@
 //
 // A single trial walks an entire ascending rate ladder p_1 < ... < p_k
 // under nested common-random-numbers coupling: fault.Set.Extend grows
-// F(p_1) ⊆ F(p_2) ⊆ ... ⊆ F(p_k) with exact Bernoulli marginals, and
-// core.SweepTrial re-enters the Theorem 2 pipeline at each rung with the
+// F(p_1) ⊆ F(p_2) ⊆ ... ⊆ F(p_k) with exact Bernoulli marginals, and a
+// core.Session re-enters the Theorem 2 pipeline at each rung with the
 // previous rung's copy-on-write bands, row vectors and certification
 // intact, paying only for the columns whose band values changed. The
 // ladder therefore costs little more than its most expensive rung, where
@@ -85,7 +85,7 @@ func classify(err error) (stats.Outcome, error) {
 // curveScratch is the per-worker state bundle for curve trials.
 type curveScratch struct {
 	sc    *core.Scratch
-	st    *core.SweepTrial
+	ses   *core.Session
 	added []int
 }
 
@@ -110,7 +110,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 		MinTrials: cfg.MinTrials,
 		NewScratch: func() any {
 			sc := core.NewScratch(1)
-			return &curveScratch{sc: sc, st: g.NewSweepTrial(sc, core.ExtractOptions{Dense: cfg.Dense})}
+			return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
 		},
 	}
 	var fn parallel.LadderTrial
@@ -133,7 +133,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 	} else {
 		fn = func(t int, stream *rng.PCG, scratch any, stopped []bool, out []stats.Outcome) error {
 			cs := scratch.(*curveScratch)
-			cs.st.Reset()
+			cs.ses.Reset()
 			faults := cs.sc.Faults(g.NumNodes())
 			prev := 0.0
 			for r, rate := range rates {
@@ -145,12 +145,12 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 				if err != nil {
 					return err
 				}
-				cs.st.NoteFaults(cs.added)
+				cs.ses.NoteAdded(cs.added)
 				prev = rate
 				if stopped[r] {
 					continue
 				}
-				_, err = cs.st.Eval(faults)
+				_, err = cs.ses.Eval(faults)
 				if out[r], err = classify(err); err != nil {
 					return err
 				}
