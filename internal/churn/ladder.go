@@ -47,20 +47,11 @@ import (
 type LadderOptions struct {
 	// Workers bounds the trial worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// ShardSize is passed through to the parallel engine.
-	ShardSize int
 	// TargetCI, if positive, stops the run once every nonzero-mean
 	// per-rung metric has this relative 95% precision.
 	TargetCI float64
-	// MinTrials is the minimum committed trial count before early
-	// stopping may trigger.
-	MinTrials int
 	// Horizon is the simulated time per trial (required, > 0).
 	Horizon float64
-	// MaxProposals caps the uniformized clock ticks per trial (arrival
-	// proposals plus repair proposals, thinned no-ops included) as a
-	// runaway guard; 0 means 1<<22.
-	MaxProposals int
 	// Verify cross-checks every placement probe against a full
 	// from-scratch pipeline run — the exhaustive ablation the golden
 	// tests run; ruinously slow for real experiments.
@@ -138,15 +129,9 @@ func SimulateRepairLadder(g *core.Graph, lambda float64, rhos []float64, trials 
 		}
 	}
 	m := len(rhos)
-	maxProposals := opts.MaxProposals
-	if maxProposals <= 0 {
-		maxProposals = 1 << 22
-	}
 	popts := parallel.Options{
-		Workers:   opts.Workers,
-		ShardSize: opts.ShardSize,
-		TargetCI:  opts.TargetCI,
-		MinTrials: opts.MinTrials,
+		Workers:  opts.Workers,
+		TargetCI: opts.TargetCI,
 		NewScratch: func() any {
 			ls := &ladderState{
 				sc:      core.NewScratch(1),
@@ -167,7 +152,7 @@ func SimulateRepairLadder(g *core.Graph, lambda float64, rhos []float64, trials 
 		},
 	}
 	rep, err := parallel.RunLifetime(trials, m*NumMetrics, seed, popts, func(t int, stream *rng.PCG, scratch any, out []float64) error {
-		return ladderTrial(g, scratch.(*ladderState), stream, lambda, rhos, opts.Horizon, maxProposals, opts.Verify, out)
+		return ladderTrial(g, scratch.(*ladderState), stream, lambda, rhos, opts.Horizon, opts.Verify, out)
 	})
 	if err != nil {
 		return LadderResult{}, err
@@ -175,10 +160,15 @@ func SimulateRepairLadder(g *core.Graph, lambda float64, rhos []float64, trials 
 	return LadderResult{LifetimeReport: rep, Rhos: rhos, Horizon: opts.Horizon}, nil
 }
 
+// maxProposals caps the uniformized clock ticks per trial (arrival
+// proposals plus repair proposals, thinned no-ops included) as a runaway
+// guard.
+const maxProposals = 1 << 22
+
 // ladderTrial steps one coupled trial from the all-healthy state to the
 // horizon, maintaining every rung's fault set, status and metrics off
 // the single uniformized proposal stream.
-func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64, rhos []float64, horizon float64, maxProposals int, verify bool, out []float64) error {
+func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64, rhos []float64, horizon float64, verify bool, out []float64) error {
 	m := len(rhos)
 	n := g.NumNodes()
 	rhoMax := rhos[m-1]
@@ -197,7 +187,7 @@ func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64
 	now := 0.0
 	for p := 0; ; p++ {
 		if p >= maxProposals {
-			return fterr.New(fterr.Conflict, "churn.ladderTrial", "trial exceeded MaxProposals=%d at t=%.3g of horizon %.3g; raise LadderOptions.MaxProposals or shorten the horizon", maxProposals, now, horizon)
+			return fterr.New(fterr.Conflict, "churn.ladderTrial", "trial exceeded %d proposals at t=%.3g of horizon %.3g; shorten the horizon", maxProposals, now, horizon)
 		}
 		// The dominating rate of the current state: every rung's total
 		// rate is at most lambda*n + rho_m*|F_1|.

@@ -37,14 +37,9 @@ const (
 type Options struct {
 	// Workers bounds the trial worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// ShardSize is passed through to the parallel engine.
-	ShardSize int
 	// TargetCI, if positive, stops the run once every nonzero-mean
 	// metric has this relative 95% precision (see parallel.RunLifetime).
 	TargetCI float64
-	// MinTrials is the minimum committed trial count before early
-	// stopping may trigger.
-	MinTrials int
 	// Horizon is the simulated time per trial (required, > 0).
 	Horizon float64
 	// MaxEvents caps the churn events per trial as a runaway guard;
@@ -141,10 +136,8 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 		maxEvents = 1 << 20
 	}
 	popts := parallel.Options{
-		Workers:   opts.Workers,
-		ShardSize: opts.ShardSize,
-		TargetCI:  opts.TargetCI,
-		MinTrials: opts.MinTrials,
+		Workers:  opts.Workers,
+		TargetCI: opts.TargetCI,
 		NewScratch: func() any {
 			sc := core.NewScratch(1)
 			gen, err := NewGeneratorHost(proc, g)

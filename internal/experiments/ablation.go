@@ -5,6 +5,7 @@ import (
 
 	"ftnet/internal/rng"
 	"ftnet/internal/stats"
+	"ftnet/internal/sweep"
 )
 
 // runA3Impl sweeps the supernode size h at fixed p and shows the sharp
@@ -27,7 +28,7 @@ func runA3Impl(cfg Config) error {
 			func(trial int, stream *rng.PCG, _ any) (stats.Outcome, error) {
 				fs := g.NewFaultState(stream.Uint64(), pNode, stream)
 				_, _, err := g.Embed(fs)
-				return classify(err)
+				return sweep.Classify(err)
 			})
 		if err != nil {
 			return err

@@ -12,7 +12,6 @@ import (
 	"io"
 	"sort"
 
-	"ftnet/internal/core"
 	"ftnet/internal/parallel"
 	"ftnet/internal/rng"
 	"ftnet/internal/sweep"
@@ -91,19 +90,6 @@ func (c Config) sweepConfig() sweep.Config {
 		Independent: c.Independent,
 		Dense:       c.Dense,
 	}
-}
-
-// coreScratch is the standard per-worker scratch factory for trials
-// running the Theorem 2 pipeline: pooled buffers with inner parallelism
-// pinned to 1 so the trial pool owns all concurrency. The scratch also
-// routes each trial through the delta engine diffed against the
-// all-defaults template (unless Config.Dense selects the dense pipeline).
-func coreScratch() any { return core.NewScratch(1) }
-
-// extractOpts is the standard per-trial pipeline options for a worker's
-// scratch, honoring the experiment-level Dense override.
-func (c Config) extractOpts(sc *core.Scratch) core.ExtractOptions {
-	return core.ExtractOptions{Scratch: sc, Dense: c.Dense}
 }
 
 // Experiment is a runnable reproduction of one paper claim.

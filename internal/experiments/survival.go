@@ -84,19 +84,6 @@ func runE2(cfg Config) error {
 	return t.Flush()
 }
 
-// classify maps pipeline errors to Monte-Carlo outcomes: unhealthy fault
-// patterns are survival failures; anything else is a bug.
-func classify(err error) (stats.Outcome, error) {
-	if err == nil {
-		return stats.Success, nil
-	}
-	var ue *core.UnhealthyError
-	if errors.As(err, &ue) {
-		return stats.Failure, nil
-	}
-	return stats.Failure, err
-}
-
 func runE3(cfg Config) error {
 	p := e2Params()
 	g, err := core.NewGraph(p)
@@ -280,7 +267,7 @@ func runE6(cfg Config) error {
 				func(trial int, stream *rng.PCG, _ any) (stats.Outcome, error) {
 					fs := g.NewFaultState(stream.Uint64(), pNode, stream)
 					_, _, err := g.Embed(fs)
-					return classify(err)
+					return sweep.Classify(err)
 				})
 			if err != nil {
 				return 0, 0, err

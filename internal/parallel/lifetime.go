@@ -3,8 +3,6 @@ package parallel
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"ftnet/internal/rng"
 )
@@ -37,181 +35,88 @@ type LifetimeReport struct {
 	StdErr []float64
 }
 
-// lifetimeShard is one shard's per-component running sums, written once
-// by the worker that ran it and folded by the commit scan in shard order
-// (so the floating-point accumulation order is worker-count independent).
+// lifetimeShard is one shard's per-component running sums. The commit
+// frontier folds them in shard order, so the floating-point accumulation
+// order is worker-count independent.
 type lifetimeShard struct {
+	fn         LifetimeTrial
+	out        []float64
 	sum, sumSq []float64
 	trials     int
-	err        error
-	done       bool
+}
+
+func (sh *lifetimeShard) add(t int, stream *rng.PCG, scratch any) error {
+	clear(sh.out)
+	if err := sh.fn(t, stream, scratch, sh.out); err != nil {
+		return err
+	}
+	sh.trials++
+	for c, v := range sh.out {
+		sh.sum[c] += v
+		sh.sumSq[c] += v * v
+	}
+	return nil
 }
 
 // RunLifetime executes trials 0..trials-1, each producing a dims-vector
 // of real metrics, and aggregates per-component means and standard
-// errors. It extends Run's determinism contract to real vectors: shards
-// are dispatched in index order, trial t draws only from its private
-// (rootSeed, t) PCG stream, and sums are folded along the shard-ordered
-// commit frontier, so every reported number — including the
-// floating-point rounding — is bit-identical for every worker count.
+// errors. It extends Run's determinism contract to real vectors: sums
+// are folded from zero along the shard-ordered commit frontier, so every
+// reported number — including the floating-point rounding — is
+// bit-identical for every worker count.
 //
 // When opts.TargetCI is positive the run stops at the shortest shard
-// prefix (of at least opts.MinTrials trials) on which EVERY component
-// with a nonzero mean has relative 95% precision TargetCI:
-// 1.96·stderr <= TargetCI·|mean|. Requiring all components prevents a
-// degenerate metric from stopping the run — in a no-death churn regime
-// the death time is constantly the horizon (stderr 0), and keying on it
-// alone would commit the minimum trial count with the availability
-// still unresolved. Zero-mean components are exempt (their relative
-// precision is undefined; an all-zero metric is already exact). The
-// rule reads only shard-ordered prefix sums, so the stopping point is
-// as deterministic as the sums themselves.
+// prefix on which EVERY component with a nonzero mean has relative 95%
+// precision TargetCI: 1.96·stderr <= TargetCI·|mean|. Requiring all
+// components prevents a degenerate metric from stopping the run — in a
+// no-death churn regime the death time is constantly the horizon
+// (stderr 0), and keying on it alone would commit the minimum trial
+// count with the availability still unresolved. Zero-mean components are
+// exempt (their relative precision is undefined; an all-zero metric is
+// already exact). The rule reads only shard-ordered prefix sums, so the
+// stopping point is as deterministic as the sums themselves.
 func RunLifetime(trials, dims int, rootSeed uint64, opts Options, fn LifetimeTrial) (LifetimeReport, error) {
 	if trials <= 0 || dims <= 0 {
 		return LifetimeReport{}, fmt.Errorf("parallel: trials = %d, dims = %d", trials, dims)
 	}
-	shardSize := opts.ShardSize
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-		for (trials+shardSize-1)/shardSize > maxAutoShards {
-			shardSize *= 2
+	sum := make([]float64, dims)
+	sumSq := make([]float64, dims)
+	n := 0
+	claim := func() *lifetimeShard {
+		return &lifetimeShard{fn: fn, out: make([]float64, dims), sum: make([]float64, dims), sumSq: make([]float64, dims)}
+	}
+	fold := func(sh *lifetimeShard, _ int, mayStop bool) bool {
+		for c := range sum {
+			sum[c] += sh.sum[c]
+			sumSq[c] += sh.sumSq[c]
 		}
-	}
-	numShards := (trials + shardSize - 1) / shardSize
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numShards {
-		workers = numShards
-	}
-	minTrials := opts.MinTrials
-	if minTrials <= 0 {
-		minTrials = 4 * shardSize
-	}
-
-	shards := make([]lifetimeShard, numShards)
-	var (
-		mu           sync.Mutex
-		nextShard    int
-		frontier     int // first shard not yet committed
-		prefixSum    = make([]float64, dims)
-		prefixSumSq  = make([]float64, dims)
-		prefixTrials int
-		commit       = -1 // committed shard count; -1 = run to the end
-		stopDispatch bool
-	)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch any
-			if opts.NewScratch != nil {
-				scratch = opts.NewScratch()
+		n += sh.trials
+		if !mayStop {
+			return false
+		}
+		for c := range sum {
+			mean, se := meanStdErr(sum[c], sumSq[c], n)
+			if mean != 0 && 1.96*se > opts.TargetCI*math.Abs(mean) {
+				return false
 			}
-			out := make([]float64, dims)
-			for {
-				mu.Lock()
-				if stopDispatch || nextShard >= numShards {
-					mu.Unlock()
-					return
-				}
-				s := nextShard
-				nextShard++
-				mu.Unlock()
-
-				lo := s * shardSize
-				hi := lo + shardSize
-				if hi > trials {
-					hi = trials
-				}
-				st := lifetimeShard{sum: make([]float64, dims), sumSq: make([]float64, dims)}
-				for t := lo; t < hi; t++ {
-					for c := range out {
-						out[c] = 0
-					}
-					if err := fn(t, rng.NewPCG(rootSeed, uint64(t)), scratch, out); err != nil {
-						st.err = fmt.Errorf("trial %d: %w", t, err)
-						break
-					}
-					st.trials++
-					for c, v := range out {
-						st.sum[c] += v
-						st.sumSq[c] += v * v
-					}
-				}
-				st.done = true
-
-				mu.Lock()
-				shards[s] = st
-				if st.err != nil {
-					stopDispatch = true
-				}
-				for frontier < numShards && shards[frontier].done && commit < 0 {
-					if shards[frontier].err != nil {
-						frontier++
-						commit = frontier
-						stopDispatch = true
-						break
-					}
-					for c := 0; c < dims; c++ {
-						prefixSum[c] += shards[frontier].sum[c]
-						prefixSumSq[c] += shards[frontier].sumSq[c]
-					}
-					prefixTrials += shards[frontier].trials
-					frontier++
-					if opts.TargetCI > 0 && prefixTrials >= minTrials {
-						resolved := true
-						for c := 0; c < dims; c++ {
-							mean, se := meanStdErr(prefixSum[c], prefixSumSq[c], prefixTrials)
-							if mean != 0 && 1.96*se > opts.TargetCI*math.Abs(mean) {
-								resolved = false
-								break
-							}
-						}
-						if resolved {
-							commit = frontier
-							stopDispatch = true
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
+		}
+		return true
 	}
-	wg.Wait()
-
-	committed := commit
-	if committed < 0 {
-		committed = numShards
+	workers, numShards, committed, err := dispatch(trials, rootSeed, opts, claim, fold)
+	if err != nil {
+		return LifetimeReport{}, err
 	}
 	rep := LifetimeReport{
+		Trials:       n,
 		Requested:    trials,
 		Workers:      workers,
 		Shards:       committed,
-		EarlyStopped: commit >= 0 && committed < numShards,
+		EarlyStopped: committed < numShards,
 		Mean:         make([]float64, dims),
 		StdErr:       make([]float64, dims),
 	}
-	sum := make([]float64, dims)
-	sumSq := make([]float64, dims)
-	for s := 0; s < committed; s++ {
-		if err := shards[s].err; err != nil {
-			return LifetimeReport{}, err
-		}
-		if !shards[s].done {
-			return LifetimeReport{}, fmt.Errorf("parallel: internal: shard %d not run", s)
-		}
-		for c := 0; c < dims; c++ {
-			sum[c] += shards[s].sum[c]
-			sumSq[c] += shards[s].sumSq[c]
-		}
-		rep.Trials += shards[s].trials
-	}
-	for c := 0; c < dims; c++ {
-		rep.Mean[c], rep.StdErr[c] = meanStdErr(sum[c], sumSq[c], rep.Trials)
+	for c := range sum {
+		rep.Mean[c], rep.StdErr[c] = meanStdErr(sum[c], sumSq[c], n)
 	}
 	return rep, nil
 }

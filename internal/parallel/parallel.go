@@ -1,7 +1,9 @@
 // Package parallel is the Monte-Carlo trial engine for the experiment
-// suite: it executes trials across a bounded worker pool and aggregates
-// their outcomes into a stats.Result, with three properties the serial
-// driver it replaces did not have.
+// suite. One dispatcher runs trials on a bounded worker pool for Run
+// (success counts), RunLadder (a count per rung) and RunLifetime (real
+// outcome vectors), which differ only in what a shard accumulates and in
+// the stopping rule, with three properties the serial driver it replaces
+// did not have.
 //
 // Determinism. The trial space is split into fixed-size shards that are
 // dispatched to workers in index order. Every trial t draws randomness
@@ -17,11 +19,11 @@
 // are paid once per worker, not once per trial.
 //
 // Early stopping. When Options.TargetCI is set, the engine commits the
-// shortest shard prefix whose 95% Wilson interval is narrower than the
-// target (once MinTrials trials are in). The stopping point is a pure
-// function of outcomes in shard order, so it too is worker-count
-// independent; shards that finished beyond the committed prefix are
-// discarded.
+// shortest shard prefix that meets the entry point's stopping rule (for
+// Run, a 95% Wilson interval narrower than the target), once four
+// shards' worth of trials are in. The stopping point is a pure function
+// of outcomes in shard order, so it too is worker-count independent;
+// shards that finished beyond the committed prefix are discarded.
 package parallel
 
 import (
@@ -62,12 +64,9 @@ type Options struct {
 	// NewScratch, if set, is called once per worker to build its
 	// scratch value.
 	NewScratch func() any
-	// TargetCI, if positive, stops the run once the 95% Wilson interval
-	// over the committed prefix is narrower than this width.
+	// TargetCI, if positive, stops the run once the committed prefix
+	// meets the entry point's stopping rule at this width.
 	TargetCI float64
-	// MinTrials is the minimum number of committed trials before early
-	// stopping may trigger; 0 means 4 shards' worth.
-	MinTrials int
 }
 
 // DefaultShardSize is the trials-per-shard granularity when
@@ -81,6 +80,10 @@ const DefaultShardSize = 8
 // bookkeeping, not gigabytes. Explicit Options.ShardSize is honored
 // as given.
 const maxAutoShards = 1 << 16
+
+// minShards is the shortest committed prefix, in shards, on which a
+// stopping rule may fire.
+const minShards = 4
 
 // Report is the outcome of a Run: the aggregated statistics plus how
 // the engine got them.
@@ -97,23 +100,53 @@ type Report struct {
 	EarlyStopped bool
 }
 
-// shardState is one shard's outcome, written once by the worker that
-// ran it and read by the commit scan.
-type shardState struct {
-	successes int
-	trials    int
-	err       error
-	done      bool
+// Run executes trials 0..trials-1 and aggregates their outcomes; it is a
+// one-rung RunLadder. The returned error is the recorded trial error with
+// the smallest trial index among committed shards, if any.
+func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
+	rep, err := RunLadder(trials, 1, rootSeed, opts,
+		func(t int, stream *rng.PCG, scratch any, _ []bool, out []stats.Outcome) (err error) {
+			out[0], err = fn(t, stream, scratch)
+			return err
+		})
+	if err != nil {
+		return Report{}, err
+	}
+	rung := rep.Rungs[0]
+	return Report{
+		Result:       rung.Result,
+		Requested:    trials,
+		Workers:      rep.Workers,
+		Shards:       rung.Shards,
+		EarlyStopped: rung.EarlyStopped,
+	}, nil
 }
 
-// Run executes trials 0..trials-1 and aggregates their outcomes. See
-// the package comment for the determinism contract. The returned error
-// is the recorded trial error with the smallest trial index among
-// committed shards, if any.
-func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
-	if trials <= 0 {
-		return Report{}, fmt.Errorf("parallel: trials = %d", trials)
-	}
+// accumulator runs one shard's trials (add runs trial t) and collects
+// their outcomes; each shard has its own, filled by one worker.
+type accumulator interface {
+	add(t int, stream *rng.PCG, scratch any) error
+}
+
+// slot is one finished shard, written once by the worker that ran it and
+// read by the commit frontier.
+type slot[A accumulator] struct {
+	acc A
+	err error
+}
+
+// dispatch is the engine behind every entry point. Workers claim
+// fixed-size shards in index order, and trial t draws from
+// rng.NewPCG(rootSeed, t). claim builds a shard's accumulator under the
+// dispatch lock. fold receives finished shards in index order, also under
+// the lock, with the committed prefix length in shards and whether a
+// stopping rule may fire (TargetCI set, at least minShards shards); it
+// returns true to commit that prefix. Shards beyond the commit point are
+// discarded, errors included; an error in a shard the frontier reaches
+// first aborts the run. dispatch returns the worker count used, the shard
+// count and the committed shard count.
+func dispatch[A accumulator](trials int, rootSeed uint64, opts Options,
+	claim func() A, fold func(acc A, prefix int, mayStop bool) bool) (workers, numShards, committed int, err error) {
 	shardSize := opts.ShardSize
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
@@ -121,32 +154,22 @@ func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
 			shardSize *= 2
 		}
 	}
-	numShards := (trials + shardSize - 1) / shardSize
-	workers := opts.Workers
+	numShards = (trials + shardSize - 1) / shardSize
+	workers = opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numShards {
-		workers = numShards
-	}
-	minTrials := opts.MinTrials
-	if minTrials <= 0 {
-		minTrials = 4 * shardSize
-	}
+	workers = min(workers, numShards)
 
-	shards := make([]shardState, numShards)
+	slots := make([]*slot[A], numShards)
+	committed = -1 // no commit decision yet
 	var (
-		mu           sync.Mutex
-		nextShard    int  // next shard index to dispatch
-		frontier     int  // first shard not yet committed
-		prefixSucc   int  // successes over shards[0:frontier]
-		prefixTrials int  // trials over shards[0:frontier]
-		commit       = -1 // committed shard count; -1 = run to the end
-		stopDispatch bool
+		mu        sync.Mutex
+		nextShard int // next shard index to claim
+		frontier  int // first shard not yet folded
+		wg        sync.WaitGroup
 	)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -156,57 +179,33 @@ func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
 			}
 			for {
 				mu.Lock()
-				if stopDispatch || nextShard >= numShards {
+				if committed >= 0 || nextShard >= numShards {
 					mu.Unlock()
 					return
 				}
 				s := nextShard
 				nextShard++
+				st := &slot[A]{acc: claim()}
 				mu.Unlock()
 
-				lo := s * shardSize
-				hi := lo + shardSize
-				if hi > trials {
-					hi = trials
-				}
-				var st shardState
-				for t := lo; t < hi; t++ {
-					out, err := fn(t, rng.NewPCG(rootSeed, uint64(t)), scratch)
-					if err != nil {
+				for t := s * shardSize; t < min((s+1)*shardSize, trials); t++ {
+					if err := st.acc.add(t, rng.NewPCG(rootSeed, uint64(t)), scratch); err != nil {
 						st.err = fmt.Errorf("trial %d: %w", t, err)
 						break
 					}
-					st.trials++
-					if out == stats.Success {
-						st.successes++
-					}
 				}
-				st.done = true
 
 				mu.Lock()
-				shards[s] = st
-				if st.err != nil {
-					stopDispatch = true
-				}
-				// Advance the commit frontier over the contiguous done
-				// prefix, checking the stopping rule after every shard so
-				// the committed prefix is the shortest qualifying one.
-				for frontier < numShards && shards[frontier].done && commit < 0 {
-					if shards[frontier].err != nil {
-						// The erroring shard is committed (so the error is
-						// reported) and nothing after it is.
-						frontier++
-						commit = frontier
-						stopDispatch = true
-						break
-					}
-					prefixSucc += shards[frontier].successes
-					prefixTrials += shards[frontier].trials
+				slots[s] = st
+				for committed < 0 && frontier < numShards && slots[frontier] != nil {
+					sh := slots[frontier]
+					slots[frontier] = nil // folded: never read again
 					frontier++
-					if opts.TargetCI > 0 && prefixTrials >= minTrials &&
-						stats.NewResult(prefixSucc, prefixTrials).Width() <= opts.TargetCI {
-						commit = frontier
-						stopDispatch = true
+					switch {
+					case sh.err != nil:
+						err, committed = sh.err, frontier
+					case fold(sh.acc, frontier, opts.TargetCI > 0 && frontier >= minShards):
+						committed = frontier
 					}
 				}
 				mu.Unlock()
@@ -214,29 +213,8 @@ func Run(trials int, rootSeed uint64, opts Options, fn Trial) (Report, error) {
 		}()
 	}
 	wg.Wait()
-
-	committed := commit
 	if committed < 0 {
 		committed = numShards
 	}
-	var successes, ran int
-	for s := 0; s < committed; s++ {
-		if err := shards[s].err; err != nil {
-			return Report{}, err
-		}
-		if !shards[s].done {
-			// Only reachable if dispatch stopped early without a commit
-			// decision, which the accounting above rules out.
-			return Report{}, fmt.Errorf("parallel: internal: shard %d not run", s)
-		}
-		successes += shards[s].successes
-		ran += shards[s].trials
-	}
-	return Report{
-		Result:       stats.NewResult(successes, ran),
-		Requested:    trials,
-		Workers:      workers,
-		Shards:       committed,
-		EarlyStopped: commit >= 0 && committed < numShards,
-	}, nil
+	return workers, numShards, committed, err
 }

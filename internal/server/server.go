@@ -189,15 +189,6 @@ func (s *Server) routes() {
 // ---------------------------------------------------------------------------
 // Wire types.
 
-// errorBody is every error response's JSON document: the typed
-// fterr.Wire fields ({code, message, retryable, resync_from}) plus a
-// legacy "error" string kept for pre-taxonomy clients and scripts.
-type errorBody struct {
-	fterr.Wire
-	// Error duplicates Message under the key older clients read.
-	Error string `json:"error"`
-}
-
 type stateResponse struct {
 	Topology       string `json:"topology"`
 	Generation     int64  `json:"generation"`
@@ -288,19 +279,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// errBody renders err as the typed wire document. The status and the
-// retryable flag derive mechanically from the error's code — handlers
-// never pick either.
-func errBody(err error, resyncFrom int64) errorBody {
+// errBody renders err as the typed wire document, every error
+// response's JSON body. The status and the retryable flag derive
+// mechanically from the error's code — handlers never pick either.
+func errBody(err error, resyncFrom int64) fterr.Wire {
 	code := fterr.CodeOf(err)
-	return errorBody{
-		Wire: fterr.Wire{
-			Code:       code,
-			Message:    err.Error(),
-			Retryable:  code.Retryable(),
-			ResyncFrom: resyncFrom,
-		},
-		Error: err.Error(),
+	return fterr.Wire{
+		Code:       code,
+		Message:    err.Error(),
+		Retryable:  code.Retryable(),
+		ResyncFrom: resyncFrom,
 	}
 }
 
@@ -542,7 +530,7 @@ func (s *Server) replyState(w http.ResponseWriter, r *http.Request, t *topology,
 			code := fterr.CodeOf(res.err)
 			s.errs.inc(code)
 			writeJSON(w, code.HTTPStatus(), struct {
-				errorBody
+				fterr.Wire
 				stateResponse
 			}{errBody(res.err, 0), stateOf(t, snap)})
 		case errors.Is(res.err, errShutdown):

@@ -244,14 +244,14 @@ func TestServeNotTolerated(t *testing.T) {
 		killer[r] = r*numCols + col
 	}
 	var failBody struct {
-		errorBody
+		fterr.Wire
 		stateResponse
 	}
 	code, _ = doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults", mutationRequest{Nodes: killer}, &failBody)
 	if code != 422 {
 		t.Fatalf("column kill: status %d, want 422", code)
 	}
-	if failBody.Error == "" || failBody.Generation != goodGen {
+	if failBody.Message == "" || failBody.Generation != goodGen {
 		t.Fatalf("422 body: %+v", failBody)
 	}
 	if failBody.Code != fterr.NotTolerated || failBody.Retryable {

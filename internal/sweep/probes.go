@@ -77,7 +77,6 @@ func (ps *Probes) engineOpts() parallel.Options {
 		Workers:    ps.cfg.Workers,
 		ShardSize:  ps.cfg.ShardSize,
 		TargetCI:   ps.cfg.TargetCI,
-		MinTrials:  ps.cfg.MinTrials,
 		NewScratch: func() any { return core.NewScratch(1) },
 	}
 }
@@ -100,7 +99,7 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 				faults := sc.Faults(g.NumNodes())
 				faults.Bernoulli(stream, p)
 				_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-				return classify(err)
+				return Classify(err)
 			})
 		return rep.Result, err
 	}
@@ -129,7 +128,7 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 				}
 			}
 			_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-			return classify(err)
+			return Classify(err)
 		})
 	return rep.Result, err
 }
@@ -179,7 +178,7 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 					return stats.Failure, err
 				}
 				_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-				return classify(err)
+				return Classify(err)
 			})
 		return rep.Result, err
 	}
@@ -206,7 +205,7 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 				faults.Add(int(i))
 			}
 			_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-			return classify(err)
+			return Classify(err)
 		})
 	return rep.Result, err
 }

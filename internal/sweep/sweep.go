@@ -44,9 +44,6 @@ type Config struct {
 	// TargetCI, if positive, stops each rung once its 95% Wilson interval
 	// is narrower than this width.
 	TargetCI float64
-	// MinTrials is the minimum committed trial count before a rung may
-	// stop early.
-	MinTrials int
 	// Independent disables the nested coupling: every rung of every trial
 	// draws a fresh Bernoulli fault set and runs the pipeline cold. This
 	// is the ablation baseline the coupled engine is benchmarked against.
@@ -69,9 +66,9 @@ type Curve struct {
 	Workers   int
 }
 
-// classify maps pipeline errors to Monte-Carlo outcomes: unhealthy fault
+// Classify maps pipeline errors to Monte-Carlo outcomes: unhealthy fault
 // patterns are survival failures; anything else is a bug.
-func classify(err error) (stats.Outcome, error) {
+func Classify(err error) (stats.Outcome, error) {
 	if err == nil {
 		return stats.Success, nil
 	}
@@ -107,7 +104,6 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 		Workers:   cfg.Workers,
 		ShardSize: cfg.ShardSize,
 		TargetCI:  cfg.TargetCI,
-		MinTrials: cfg.MinTrials,
 		NewScratch: func() any {
 			sc := core.NewScratch(1)
 			return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
@@ -124,7 +120,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 					continue
 				}
 				_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: cs.sc, Dense: cfg.Dense})
-				if out[r], err = classify(err); err != nil {
+				if out[r], err = Classify(err); err != nil {
 					return err
 				}
 			}
@@ -151,7 +147,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 					continue
 				}
 				_, err = cs.ses.Eval(faults)
-				if out[r], err = classify(err); err != nil {
+				if out[r], err = Classify(err); err != nil {
 					return err
 				}
 			}
