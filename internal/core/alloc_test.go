@@ -1,13 +1,16 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestHotPathAllocs is the runtime counterpart of the hotpath analyzer
 // (internal/analysis/hotpath) for the core trial loop: once the scratch
-// is warm, the //ftnet:hotpath-annotated placement, transfer and
-// verification leaves must run allocation-free. AllocsPerRun and the
-// static rule cross-check each other — an allocation snuck past one is
-// still caught by the other.
+// is warm, the //ftnet:hotpath-annotated placement, transfer,
+// verification and map-sweep leaves must run allocation-free.
+// AllocsPerRun and the static rule cross-check each other — an
+// allocation snuck past one is still caught by the other.
 func TestHotPathAllocs(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
@@ -66,10 +69,27 @@ func TestHotPathAllocs(t *testing.T) {
 
 	skip := func(zn int) bool { return false }
 	if a := testing.AllocsPerRun(50, func() {
-		if err := g.verifyColumn(sc.emb, faults, sc, 0, true, skip); err != nil {
+		if err := g.verifyColumn(faults, sc, 0, true, skip); err != nil {
 			t.Fatalf("verifyColumn: %v", err)
 		}
 	}); a > 0 {
 		t.Errorf("verifyColumn: %v allocs/op, want 0", a)
+	}
+
+	// The row-major map sweeps, over the columns the warmup re-derived:
+	// rewriting them from their own vectors leaves the map in sync.
+	cols := append([]int32(nil), ses.recomp...)
+	slices.Sort(cols)
+	if a := testing.AllocsPerRun(20, func() {
+		writeColumns(sc.emb.Map, g.NumCols, n, cols, sc.rowmap)
+	}); a > 0 {
+		t.Errorf("writeColumns: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if j, z := firstUnsynced(sc.emb.Map, g.NumCols, n, cols, sc.rowmap); z >= 0 {
+			t.Fatalf("firstUnsynced: guest node (%d,%d) out of sync", j, z)
+		}
+	}); a > 0 {
+		t.Errorf("firstUnsynced: %v allocs/op, want 0", a)
 	}
 }

@@ -2,7 +2,12 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
+
+	"ftnet/internal/fault"
+	"ftnet/internal/fterr"
+	"ftnet/internal/grid"
 )
 
 // Invariants of the single evaluation engine, read off the session's own
@@ -79,6 +84,123 @@ func TestEngineLoneFaultStaysInFootprint(t *testing.T) {
 		for _, z := range list.cols {
 			if !slices.Contains(footprint, int(z)) {
 				t.Errorf("%s column %d lies outside the box footprint ±1 tile", list.name, z)
+			}
+		}
+	}
+}
+
+// addNoted adds the fault at node (i, z) and reports it to the session.
+func addNoted(g *Graph, ses *Session, faults *fault.Set, i, z int) {
+	idx := g.NodeIndex(i, z)
+	faults.Add(idx)
+	ses.NoteAdded([]int{idx})
+}
+
+// TestEngineStampGenerationWraps: when the session's stamp generation
+// wraps, the next Eval must still diff every dirty column. Counter -1
+// makes the first bump 0, the stamp of every column never stamped, which
+// would skip the new fault's whole footprint and leave the map stale.
+func TestEngineStampGenerationWraps(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	faults := sc.Faults(g.NumNodes())
+	addNoted(g, ses, faults, 300, 250)
+	evalSessionBoth(t, g, ses, faults, "warm")
+	ses.gen = -1
+	// Another slab and column tile: no column of its footprint has been
+	// stamped yet.
+	addNoted(g, ses, faults, 60, 130)
+	evalSessionBoth(t, g, ses, faults, "after the wrap")
+}
+
+// TestEngineRowStampGenerationWraps: the same for the verifier's per-row
+// stamps. Counter -1 makes the first verified column's generation 0, the
+// stamp of every row no verified column has held yet, so an injective
+// column would be reported as not injective.
+func TestEngineRowStampGenerationWraps(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	faults := sc.Faults(g.NumNodes())
+	addNoted(g, ses, faults, 300, 250)
+	evalSessionBoth(t, g, ses, faults, "warm")
+	if len(ses.verify) == 0 {
+		t.Fatal("the warm eval verified no column")
+	}
+	sc.colGen = -1
+	// Another slab: its deviating columns unmask rows that no column
+	// verified so far holds.
+	addNoted(g, ses, faults, 60, 130)
+	evalSessionBoth(t, g, ses, faults, "after the wrap")
+	if len(ses.verify) == 0 {
+		t.Fatal("the eval after the wrap verified no column")
+	}
+}
+
+// TestEngineSyncCheckFires: a verified column whose map entries disagree
+// with its row vector fails the Eval. The column is re-checked without
+// being re-derived (a noted fault membership change, same fault set), so
+// only the map-vs-vector sweep can see the corrupted entry.
+func TestEngineSyncCheckFires(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	faults := sc.Faults(g.NumNodes())
+	faults.Add(g.NodeIndex(300, 250))
+	if _, err := ses.Eval(faults); err != nil {
+		t.Fatal(err)
+	}
+	z := -1
+	for _, z32 := range ses.recomp {
+		if sc.devCols[z32] {
+			z = int(z32)
+			break
+		}
+	}
+	if z < 0 {
+		t.Fatal("the fault left no deviating column")
+	}
+	j := g.P.N() / 2
+	sc.emb.Map[j*g.NumCols+z] = int(sc.rowmap[z][(j+1)%g.P.N()])*g.NumCols + z
+	ses.NoteAdded([]int{g.NodeIndex(0, z)})
+	_, err := ses.Eval(faults)
+	if len(ses.recomp) != 0 || !slices.Contains(ses.verify, int32(z)) {
+		t.Fatalf("re-derived %v and verified %v; want column %d verified and none re-derived", ses.recomp, ses.verify, z)
+	}
+	if !fterr.Is(err, fterr.Internal) || !strings.Contains(err.Error(), "out of sync") {
+		t.Fatalf("Eval with a corrupted map entry: err = %v, want an internal out-of-sync error", err)
+	}
+}
+
+// TestEngineColumnNeighborTable pins the column-adjacency table to the
+// coordinate arithmetic it replaces: each column's row lists the +1 then
+// the -1 neighbor along each column dimension in turn, and every listed
+// pair is adjacent.
+func TestEngineColumnNeighborTable(t *testing.T) {
+	for _, p := range []Params{testParams2D(), {D: 3, W: 4, Pitch: 16, Scale: 1}} {
+		g := mustGraph(t, p)
+		coord := make([]int, len(g.ColShape))
+		want := make([]int32, 0, 2*len(g.ColShape))
+		for z := 0; z < g.NumCols; z++ {
+			g.ColShape.Coord(z, coord)
+			want = want[:0]
+			for dim, side := range g.ColShape {
+				orig := coord[dim]
+				coord[dim] = grid.Add(orig, 1, side)
+				want = append(want, int32(g.ColShape.Index(coord)))
+				coord[dim] = grid.Sub(orig, 1, side)
+				want = append(want, int32(g.ColShape.Index(coord)))
+				coord[dim] = orig
+			}
+			got := g.columnNeighbors(z)
+			if !slices.Equal(got, want) {
+				t.Fatalf("d=%d column %d: neighbors %v, want %v", p.D, z, got, want)
+			}
+			for _, zn := range got {
+				if !g.columnsAdjacent(z, int(zn)) {
+					t.Fatalf("d=%d: columns %d and %d listed as neighbors but not adjacent", p.D, z, zn)
+				}
 			}
 		}
 	}

@@ -61,12 +61,10 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 
 	// BFS over the column torus.
 	queue := append(opts.Scratch.queueBuf(numCols), 0)
-	nbuf := opts.Scratch.nbufBuf()
-	ncoord := opts.Scratch.ncoordBuf(p.D - 1)
 	for head := 0; head < len(queue); head++ {
 		z := queue[head]
-		nbuf = g.columnNeighbors(z, nbuf[:0], ncoord)
-		for _, zn := range nbuf {
+		for _, zn32 := range g.columnNeighbors(z) {
+			zn := int(zn32)
 			if rowmap[zn] != nil || zn == 0 {
 				continue
 			}
@@ -78,23 +76,16 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 			queue = append(queue, zn)
 		}
 	}
-	if opts.Scratch != nil {
-		opts.Scratch.nbuf = nbuf
-	}
 	if len(queue) != numCols {
 		return nil, fterr.New(fterr.Internal, "core", "column BFS reached %d of %d columns", len(queue), numCols)
 	}
 
 	if opts.CheckConsistency {
 		dst := opts.Scratch.dstBuf(n)
-		coord := make([]int, p.D-1)
 		for z := 0; z < numCols; z++ {
-			g.ColShape.Coord(z, coord)
+			nbrs := g.columnNeighbors(z)
 			for dim := range g.ColShape {
-				orig := coord[dim]
-				coord[dim] = grid.Add(orig, 1, g.ColShape[dim])
-				zn := g.ColShape.Index(coord)
-				coord[dim] = orig
+				zn := int(nbrs[2*dim]) // the +1 neighbor along dim
 				if err := g.transferRows(bs, z, zn, rowmap[z], dst); err != nil {
 					return nil, err
 				}
@@ -152,22 +143,6 @@ func (g *Graph) transferRows(bs *bands.Set, zFrom, zTo int, src, dst []int32) er
 		}
 	}
 	return nil
-}
-
-// columnNeighbors appends the 2(d-1) columns adjacent to z. coord is a
-// caller-owned length d-1 work buffer, hoisted out of the BFS loop so
-// the per-column visit allocates nothing.
-func (g *Graph) columnNeighbors(z int, buf, coord []int) []int {
-	coord = g.ColShape.Coord(z, coord)
-	for dim := range g.ColShape {
-		orig := coord[dim]
-		coord[dim] = grid.Add(orig, 1, g.ColShape[dim])
-		buf = append(buf, g.ColShape.Index(coord))
-		coord[dim] = grid.Sub(orig, 1, g.ColShape[dim])
-		buf = append(buf, g.ColShape.Index(coord))
-		coord[dim] = orig
-	}
-	return buf
 }
 
 // HostView adapts a faulty B^d_n to the embed.Host interface. Edges is

@@ -37,12 +37,15 @@ type Graph struct {
 	// Monte-Carlo workers.
 	chebOnce sync.Once
 	cheb     [][]int // the 3^d-1 Chebyshev neighbor deltas of a tile
+	nbrOnce  sync.Once
+	nbr      []int32 // column-adjacency table, 2(d-1) entries per column (columnNeighbors)
 	tplOnce  sync.Once
 	tpl      *template // all-defaults template: commit zero of every Session
 }
 
-// NewGraph builds the host description (adjacency is computed on the fly;
-// nothing is materialized).
+// NewGraph builds the host description. Adjacency is computed on the
+// fly; the lookup tables the pipelines read (column adjacency, tile
+// deltas, the template) are built lazily on first use.
 func NewGraph(p Params) (*Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -155,6 +158,36 @@ func (g *Graph) adjacentRC(iu, zu, iv, zv int) bool {
 		return true // diagonal jump
 	}
 	return false
+}
+
+// columnNeighbors returns the 2(d-1) columns adjacent to z: the +1 then
+// the -1 neighbor along each column dimension in turn. The slice is a
+// read-only row of the graph's column-adjacency table, built once on
+// first use so the extraction BFS, the flood and the verifier read their
+// neighbors instead of re-deriving them from coordinates.
+func (g *Graph) columnNeighbors(z int) []int32 {
+	g.nbrOnce.Do(g.buildColumnNeighbors)
+	k := 2 * len(g.ColShape)
+	return g.nbr[z*k : (z+1)*k : (z+1)*k]
+}
+
+func (g *Graph) buildColumnNeighbors() {
+	k := 2 * len(g.ColShape)
+	nbr := make([]int32, g.NumCols*k)
+	coord := make([]int, len(g.ColShape))
+	for z := 0; z < g.NumCols; z++ {
+		g.ColShape.Coord(z, coord)
+		row := nbr[z*k : (z+1)*k]
+		for dim, side := range g.ColShape {
+			orig := coord[dim]
+			coord[dim] = grid.Add(orig, 1, side)
+			row[2*dim] = int32(g.ColShape.Index(coord))
+			coord[dim] = grid.Sub(orig, 1, side)
+			row[2*dim+1] = int32(g.ColShape.Index(coord))
+			coord[dim] = orig
+		}
+	}
+	g.nbr = nbr
 }
 
 // columnsAdjacent reports whether columns za and zb differ by one cyclic

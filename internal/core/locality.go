@@ -19,6 +19,9 @@
 //     and edge realization only on columns whose row map deviates from
 //     the default, relying on the once-verified default embedding for
 //     the untouched remainder.
+//   - writeColumns and firstUnsynced write and check the row-major
+//     embedding map for a sorted list of columns, sweeping it row by row
+//     instead of column by column.
 //
 // The dense pipeline (Extract, VerifyBuf) is the oracle these are pinned
 // against, and the ExtractOptions.Dense ablation.
@@ -257,48 +260,38 @@ func int32Equal(a, b []int32) bool {
 	return true
 }
 
-// verifyColumn re-checks one column of the embedding: host-row range,
-// injectivity, fault avoidance, dimension-0 edge realization, the
-// cross-column edges to all 2(d-1) neighbor columns except those for
-// which skipPair reports the pair is (or will be) checked from the other
-// side — and that the embedding's map agrees with the scratch row
-// vectors the checks read from. Reading rows through sc.rowmap instead
-// of dividing e.Map entries keeps the hot loops division-free; the
-// explicit sync check preserves the certificate's strength (every e.Map
-// entry of the column is pinned to the verified row vector). hasFaults
-// (from verifyFaultPass) gates the per-row fault check.
+// verifyColumn re-checks one column of the row vectors the embedding is
+// written from: host-row range, injectivity, fault avoidance,
+// dimension-0 edge realization, and the cross-column edges to all 2(d-1)
+// neighbor columns except those for which skipPair reports the pair is
+// (or will be) checked from the other side. It reads rows through
+// sc.rowmap instead of dividing e.Map entries, which keeps the hot loops
+// division-free; verifyIncremental then pins the map to the verified
+// vectors in one row-major sweep (firstUnsynced). hasFaults (from
+// verifyFaultPass) gates the per-row fault check.
 //
 //ftnet:hotpath
-func (g *Graph) verifyColumn(e *embed.Embedding, faults *fault.Set, sc *Scratch, z int, hasFaults bool, skipPair func(zn int) bool) error {
+func (g *Graph) verifyColumn(faults *fault.Set, sc *Scratch, z int, hasFaults bool, skipPair func(zn int) bool) error {
 	p := g.P
 	n := p.N()
 	numCols := g.NumCols
-	if len(e.Map) != e.Guest.N() {
-		return fterr.New(fterr.Internal, "embed", "map has %d entries, guest has %d nodes", len(e.Map), e.Guest.N())
-	}
 	m := p.M()
 	w := p.W
-	colSeen := sc.colSeenBuf(m)
-	ncoord := sc.ncoordBuf(p.D - 1)
 	rows := sc.rowmap[z]
 	if len(rows) != n {
 		return fterr.New(fterr.Internal, "core", "column %d row vector has %d entries, want %d", z, len(rows), n)
 	}
-	sc.colGen++
-	gen := sc.colGen
-	// One fused pass: membership, sync, injectivity, fault avoidance, and
-	// the dimension-0 guest edge to the next row (cyclically) — a torus
-	// step or a vertical jump, the same-column conditions of
-	// Graph.Adjacent, with m and w hoisted out of the loop.
+	colSeen, gen := sc.colSeenBuf(m)
+	// One fused pass: membership, injectivity, fault avoidance, and the
+	// dimension-0 guest edge to the next row (cyclically) — a torus step
+	// or a vertical jump, the same-column conditions of Graph.Adjacent,
+	// with m and w hoisted out of the loop.
 	for i := 0; i < n; i++ {
 		r := int(rows[i])
 		if r < 0 || r >= m {
 			return fterr.New(fterr.Internal, "embed", "guest node (%d,%d) maps to out-of-range host row %d", i, z, r)
 		}
 		u := r*numCols + z
-		if e.Map[i*numCols+z] != u {
-			return fterr.New(fterr.Internal, "core", "embedding out of sync with row vector at guest node (%d,%d)", i, z)
-		}
 		if colSeen[r] == gen {
 			return fterr.New(fterr.Internal, "embed", "host node %d hosts two guest nodes (not injective)", u)
 		}
@@ -324,43 +317,83 @@ func (g *Graph) verifyColumn(e *embed.Embedding, faults *fault.Set, sc *Scratch,
 	// Cross-column edges. Column adjacency is checked once per pair; the
 	// per-row condition is then Adjacent's cross-column branch (torus
 	// step or diagonal jump).
-	g.ColShape.Coord(z, ncoord)
-	for dim := range g.ColShape {
-		orig := ncoord[dim]
-		for _, delta := range [2]int{1, -1} {
-			if delta == 1 {
-				ncoord[dim] = grid.Add(orig, 1, g.ColShape[dim])
-			} else {
-				ncoord[dim] = grid.Sub(orig, 1, g.ColShape[dim])
-			}
-			zn := g.ColShape.Index(ncoord)
-			if skipPair(zn) {
+	for _, zn32 := range g.columnNeighbors(z) {
+		zn := int(zn32)
+		if skipPair(zn) {
+			continue
+		}
+		if !g.columnsAdjacent(z, zn) {
+			return fterr.New(fterr.Internal, "core", "columns %d and %d are not adjacent", z, zn)
+		}
+		nrows := sc.rowmap[zn]
+		if len(nrows) != n {
+			return fterr.New(fterr.Internal, "core", "column %d row vector has %d entries, want %d", zn, len(nrows), n)
+		}
+		// Adjacent columns' vectors agree outside the rows a band moved
+		// across (at most K of n, by the slope condition), so equality
+		// short-circuits the distance check for almost every row.
+		for i := 0; i < n; i++ {
+			if rows[i] == nrows[i] {
 				continue
 			}
-			if !g.columnsAdjacent(z, zn) {
-				return fterr.New(fterr.Internal, "core", "columns %d and %d are not adjacent", z, zn)
+			if di := grid.Dist(int(rows[i]), int(nrows[i]), m); di == w && !g.DisableDJump {
+				continue
 			}
-			nrows := sc.rowmap[zn]
-			if len(nrows) != n {
-				return fterr.New(fterr.Internal, "core", "column %d row vector has %d entries, want %d", zn, len(nrows), n)
-			}
-			// Adjacent columns' vectors agree outside the rows a band moved
-			// across (at most K of n, by the slope condition), so equality
-			// short-circuits the distance check for almost every row.
-			for i := 0; i < n; i++ {
-				if rows[i] == nrows[i] {
-					continue
-				}
-				if di := grid.Dist(int(rows[i]), int(nrows[i]), m); di == w && !g.DisableDJump {
-					continue
-				}
-				return fterr.New(fterr.Internal, "embed", "guest edge (%d,%d)-(%d,%d) maps to non-adjacent host pair (rows %d,%d)",
-					i, z, i, zn, rows[i], nrows[i])
-			}
+			return fterr.New(fterr.Internal, "embed", "guest edge (%d,%d)-(%d,%d) maps to non-adjacent host pair (rows %d,%d)",
+				i, z, i, zn, rows[i], nrows[i])
 		}
-		ncoord[dim] = orig
 	}
 	return nil
+}
+
+// The embedding map is row-major — guest node (j, z) is entry j·C+z, C =
+// NumCols — while the row vectors (rowflat) are column-major, n entries
+// per column. Writing or checking one column of the map touches n
+// entries C apart (295 KB at d=3), each its own cache line and page, so
+// the engine touches the map only through these two sweeps, which visit
+// the listed columns in ascending order within each row (writeColumns)
+// or band of syncRows rows (firstUnsynced).
+
+// writeColumns sets the map entries of the listed columns from their row
+// vectors: entry j·C+z becomes host node rowmap[z][j]·C+z. cols must be
+// sorted ascending and every listed vector must hold n rows.
+//
+//ftnet:hotpath
+func writeColumns(mp []int, numCols, n int, cols []int32, rowmap [][]int32) {
+	for j := 0; j < n; j++ {
+		row := mp[j*numCols : (j+1)*numCols]
+		for _, z32 := range cols {
+			z := int(z32)
+			row[z] = int(rowmap[z][j])*numCols + z
+		}
+	}
+}
+
+// syncRows is the band height of firstUnsynced: 16 int32 rows are one
+// cache line of a row vector.
+const syncRows = 16
+
+// firstUnsynced is the read-only twin of writeColumns: it returns a guest
+// node (j, z) whose map entry differs from rowmap[z][j]·C+z, or z = -1
+// when every listed column is in sync. Unlike writeColumns it reads a
+// band of rows per column: its loads stall where stores would not, and
+// the band's loads from separate map rows overlap instead of waiting on
+// one row at a time.
+//
+//ftnet:hotpath
+func firstUnsynced(mp []int, numCols, n int, cols []int32, rowmap [][]int32) (j, z int) {
+	for j0 := 0; j0 < n; j0 += syncRows {
+		j1 := min(j0+syncRows, n)
+		for _, z32 := range cols {
+			z := int(z32)
+			for k, r := range rowmap[z][j0:j1] {
+				if mp[(j0+k)*numCols+z] != int(r)*numCols+z {
+					return j0 + k, z
+				}
+			}
+		}
+	}
+	return 0, -1
 }
 
 // verifyFaultPass makes verifyIncremental's single pass over the fault

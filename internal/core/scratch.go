@@ -62,8 +62,6 @@ type Scratch struct {
 	cornerCoord []int // buildPinned corner odometer
 
 	// Extraction buffers.
-	nbuf     []int
-	ncoord   []int
 	consDst  []int32
 	movedBuf []movedBand
 
@@ -331,26 +329,6 @@ func (sc *Scratch) footprintBufs(d1 int) (starts, counts, coord []int) {
 	return sc.fpStarts[:d1], sc.fpCounts[:d1], sc.fpCoord[:d1]
 }
 
-// nbufBuf returns the reusable column-neighbor buffer (emptied).
-func (sc *Scratch) nbufBuf() []int {
-	if sc == nil {
-		return nil
-	}
-	return sc.nbuf[:0]
-}
-
-// ncoordBuf returns the reusable coordinate buffer for columnNeighbors,
-// sized on first use by the column-space dimensionality.
-func (sc *Scratch) ncoordBuf(d1 int) []int {
-	if sc == nil {
-		return make([]int, d1)
-	}
-	if cap(sc.ncoord) < d1 {
-		sc.ncoord = make([]int, d1)
-	}
-	return sc.ncoord[:d1]
-}
-
 // dstBuf returns a length-n int32 buffer for the consistency check.
 func (sc *Scratch) dstBuf(n int) []int32 {
 	if sc == nil {
@@ -372,16 +350,25 @@ func (sc *Scratch) cleanVecBuf(n int) []int32 {
 }
 
 // colSeenBuf returns the generation-counted per-column bitmap over host
-// rows; the verifier bumps colGen instead of clearing it.
-func (sc *Scratch) colSeenBuf(m int) []int32 {
+// rows and a fresh generation: entries equal to it mark rows seen in the
+// current column, so the verifier bumps the generation instead of
+// clearing the bitmap. When the counter wraps, the bitmap is cleared and
+// the count restarts at 1, so neither a stale stamp nor the zero of a
+// never-stamped row can equal the live generation.
+func (sc *Scratch) colSeenBuf(m int) ([]int32, int32) {
 	if sc == nil {
-		return make([]int32, m)
+		return make([]int32, m), 1
 	}
 	if cap(sc.colSeen) < m {
 		sc.colSeen = make([]int32, m)
 		sc.colGen = 0
 	}
-	return sc.colSeen[:m]
+	sc.colGen++
+	if sc.colGen <= 0 {
+		clear(sc.colSeen[:cap(sc.colSeen)])
+		sc.colGen = 1
+	}
+	return sc.colSeen[:m], sc.colGen
 }
 
 // faultColBuf returns the generation-counted per-column fault marker used

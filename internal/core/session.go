@@ -118,16 +118,15 @@ type Session struct {
 	matchedB  []bool
 
 	mark    []int32 // per-column generation stamps (diff and verify-set dedup)
-	gen     int32
+	gen     int32   // live stamp generation (nextGen)
 	state   []uint8
 	changed []int32
 	queue   []int
 	recomp  []int32 // columns whose vector was re-derived this Eval
 	oldDev  []bool  // dev flag each recomp column had before re-derivation
+	written []int32 // sorted recomp columns whose map entries this Eval rewrote
 	pending []int32
 	verify  []int32
-	nbuf    []int
-	ncoord  []int
 }
 
 // NewSession wraps sc for delta evaluation on g. opts.Scratch is forced
@@ -218,14 +217,14 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	// Diff the new family against the last successful Eval's: every value
 	// difference lies inside the union of the two dirty sets (see the
 	// package comment — the union is what catches healed columns).
-	s.gen++
+	gen := s.nextGen()
 	s.changed = s.changed[:0]
 	for _, list := range [2][]int32{s.cur.DirtyColumns(), bs.DirtyColumns()} {
 		for _, z32 := range list {
-			if s.mark[z32] == s.gen {
+			if s.mark[z32] == gen {
 				continue
 			}
-			s.mark[z32] = s.gen
+			s.mark[z32] = gen
 			if !bs.ColumnEqual(s.cur, int(z32)) {
 				s.changed = append(s.changed, z32)
 			}
@@ -415,10 +414,19 @@ func (s *Session) ensureBuffers() {
 	}
 	s.mark = s.mark[:numCols]
 	s.state = s.state[:numCols]
-	if cap(s.ncoord) < g.P.D-1 {
-		s.ncoord = make([]int, g.P.D-1)
+}
+
+// nextGen bumps the generation of the per-column stamps in mark. When
+// the counter wraps, it clears the stamps and restarts at 1, so neither a
+// stale stamp nor the zero of a never-stamped column can equal the live
+// generation.
+func (s *Session) nextGen() int32 {
+	s.gen++
+	if s.gen <= 0 {
+		clear(s.mark)
+		s.gen = 1
 	}
-	s.ncoord = s.ncoord[:g.P.D-1]
+	return s.gen
 }
 
 // begin makes the all-defaults template the committed state: commit
@@ -436,16 +444,19 @@ func (s *Session) begin(tpl *template) error {
 	}
 	e := sc.embedding(guest)
 	if o := sc.owner; o != nil && o.g == g {
+		// Point every previously dirty column back at the default rows and
+		// rewrite the map entries of the deviating ones, compacted in place
+		// into a sorted prefix of prevDirty.
+		restore := sc.prevDirty[:0]
 		for _, z32 := range sc.prevDirty {
-			z := int(z32)
-			sc.rowmap[z] = tpl.defaultRows
-			if sc.devCols[z] {
-				sc.devCols[z] = false
-				for i := 0; i < n; i++ {
-					e.Map[i*numCols+z] = int(tpl.defaultRows[i])*numCols + z
-				}
+			sc.rowmap[z32] = tpl.defaultRows
+			if sc.devCols[z32] {
+				sc.devCols[z32] = false
+				restore = append(restore, z32)
 			}
 		}
+		slices.Sort(restore)
+		writeColumns(e.Map, numCols, n, restore, sc.rowmap)
 	} else {
 		if cap(sc.rowmap) < numCols {
 			sc.rowmap = make([][]int32, numCols)
@@ -534,7 +545,6 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	s.oldDev = s.oldDev[:0]
 
 	queue := s.queue[:0]
-	nbuf := s.nbuf
 	if state[0] == swChanged {
 		// The anchor's own bands changed. Its canonical vector is directly
 		// recomputable (Lemma 6 anchors guest row 0 just above band 0 of
@@ -557,12 +567,10 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 		state[0] = swAnchor
 		queue = append(queue, 0)
 		for head := 0; head < len(queue); head++ {
-			z := queue[head]
-			nbuf = g.columnNeighbors(z, nbuf[:0], s.ncoord)
-			for _, zn := range nbuf {
+			for _, zn := range g.columnNeighbors(queue[head]) {
 				if state[zn] == swKept {
 					state[zn] = swAnchor
-					queue = append(queue, zn)
+					queue = append(queue, int(zn))
 				}
 			}
 		}
@@ -598,10 +606,9 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 				continue
 			}
 			seeded := false
-			nbuf = g.columnNeighbors(z, nbuf[:0], s.ncoord)
-			for _, zn := range nbuf {
+			for _, zn := range g.columnNeighbors(z) {
 				if st := state[zn]; st == swAnchor || st == swConfirmed || st == swAssigned {
-					if err := assign(zn, z); err != nil {
+					if err := assign(int(zn), z); err != nil {
 						return err
 					}
 					seeded = true
@@ -627,8 +634,8 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 		for head := 0; head < len(queue); head++ {
 			z := queue[head]
 			confirmed := state[z] == swConfirmed
-			nbuf = g.columnNeighbors(z, nbuf[:0], s.ncoord)
-			for _, zn := range nbuf {
+			for _, zn32 := range g.columnNeighbors(z) {
+				zn := int(zn32)
 				switch state[zn] {
 				case swChanged:
 					if err := assign(z, zn); err != nil {
@@ -668,36 +675,36 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 		queue = queue[:0]
 	}
 	s.queue = queue
-	s.nbuf = nbuf
 
 	// Sync the embedding for re-derived columns: deviating vectors are
-	// written out, restored-to-base vectors fall back to the default map.
-	e := sc.emb
+	// written out, and a vector restored to base points back at the
+	// template's default rows (equal by value) so its map entries fall
+	// back to the default map. The list is sorted apart from recomp,
+	// which oldDev is indexed in step with.
+	written := s.written[:0]
 	for i, z32 := range s.recomp {
-		z := int(z32)
 		switch {
-		case dev[z]:
-			rows := rowmap[z]
-			for j := 0; j < n; j++ {
-				e.Map[j*numCols+z] = int(rows[j])*numCols + z
-			}
-			s.deltaCand = append(s.deltaCand, z32)
+		case dev[z32]:
 		case s.oldDev[i]:
-			for j := 0; j < n; j++ {
-				e.Map[j*numCols+z] = int(base[j])*numCols + z
-			}
-			s.deltaCand = append(s.deltaCand, z32)
+			rowmap[z32] = base
+		default:
+			continue
 		}
+		written = append(written, z32)
+		s.deltaCand = append(s.deltaCand, z32)
 	}
+	slices.Sort(written)
+	writeColumns(sc.emb.Map, numCols, n, written, rowmap)
+	s.written = written
 	// Extend the inter-trial restore set: anything re-derived this Eval
 	// may now deviate from the template.
-	s.gen++
+	gen := s.nextGen()
 	for _, z32 := range sc.prevDirty {
-		s.mark[z32] = s.gen
+		s.mark[z32] = gen
 	}
 	for _, z32 := range s.recomp {
-		if s.mark[z32] != s.gen {
-			s.mark[z32] = s.gen
+		if s.mark[z32] != gen {
+			s.mark[z32] = gen
 			sc.prevDirty = append(sc.prevDirty, z32)
 		}
 	}
@@ -709,6 +716,9 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 // (its cross-column edges face new vectors), and every deviating column
 // whose fault membership changed since the last certified state; plus
 // the masked-under-default check for all faults in non-deviating columns.
+// The verified columns' row vectors are then pinned to the embedding map
+// in one row-major sweep, so the certificate covers every map entry of
+// those columns.
 //
 //ftnet:hotpath
 func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
@@ -720,8 +730,7 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 		return err
 	}
 
-	s.gen++
-	gen := s.gen
+	gen := s.nextGen()
 	s.verify = s.verify[:0]
 	//lint:allow hotpath add never escapes verifyIncremental; one stack closure per Eval, not per column
 	add := func(z int) {
@@ -730,29 +739,33 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 			s.verify = append(s.verify, int32(z))
 		}
 	}
-	nbuf := s.nbuf
 	for _, z32 := range s.recomp {
 		z := int(z32)
 		add(z)
-		nbuf = g.columnNeighbors(z, nbuf[:0], s.ncoord)
-		for _, zn := range nbuf {
-			add(zn)
+		for _, zn := range g.columnNeighbors(z) {
+			add(int(zn))
 		}
 	}
 	for _, z32 := range s.churnCols {
 		add(int(z32))
 	}
-	s.nbuf = nbuf
+	slices.Sort(s.verify) // ascending, for the row-major sync sweep
 
 	//lint:allow hotpath inSet never escapes verifyIncremental; one stack closure per Eval, not per column
 	inSet := func(z int) bool { return s.mark[z] == gen }
 	for _, z32 := range s.verify {
 		z := int(z32)
-		if err := g.verifyColumn(e, faults, sc, z, faultCol[z] == fgen,
+		if err := g.verifyColumn(faults, sc, z, faultCol[z] == fgen,
 			//lint:allow hotpath the skipPair predicate is consumed inside verifyColumn and never escapes; it stays on the stack
 			func(zn int) bool { return inSet(zn) && zn < z }); err != nil {
 			return err
 		}
+	}
+	if len(e.Map) != e.Guest.N() {
+		return fterr.New(fterr.Internal, "embed", "map has %d entries, guest has %d nodes", len(e.Map), e.Guest.N())
+	}
+	if j, z := firstUnsynced(e.Map, g.NumCols, g.P.N(), s.verify, sc.rowmap); z >= 0 {
+		return fterr.New(fterr.Internal, "core", "embedding out of sync with row vector at guest node (%d,%d)", j, z)
 	}
 	return nil
 }
