@@ -215,26 +215,37 @@ func BenchmarkSurvivalSweepIndependentB2(b *testing.B) {
 }
 
 // churnSteadyState prepares a steady-state churn benchmark on the B2
-// host: a generator whose stationary faulty fraction sits at stationary,
-// plus a warm session holding an equilibrium fault set drawn at that
-// rate.
-func churnSteadyState(b *testing.B, g *core.Graph, stationary float64) (*churn.Generator, *core.Scratch, *core.Session, *rng.PCG, *fault.Set) {
+// host: a node-only generator whose stationary faulty fraction sits at
+// stationary, plus a warm session holding an equilibrium fault set drawn
+// at that rate.
+func churnSteadyState(b *testing.B, g *core.Graph, stationary float64) (*churn.Generator, *core.Scratch, *core.Session, *rng.PCG, *fault.Charger) {
 	b.Helper()
 	rho := 1.0
-	gen, err := churn.NewGenerator(churn.Process{Arrival: stationary * rho / (1 - stationary), Repair: rho}, g.NodeShape())
+	gen, err := churn.NewGeneratorHost(churn.Process{Arrival: stationary * rho / (1 - stationary), Repair: rho}, g)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sc := core.NewScratch(1)
 	ses := g.NewSession(sc, core.ExtractOptions{})
 	stream := rng.NewPCG(4242, 1)
-	faults := sc.Faults(g.NumNodes())
-	faults.Bernoulli(stream, stationary)
-	ses.NoteAdded(faults.Slice())
-	if _, err := ses.Eval(faults); err != nil {
+	ch := fault.NewCharger(g.NumNodes())
+	ses.NoteAdded(chargeNodes(ch, fault.NewSet(g.NumNodes()).BernoulliRecord(stream, stationary, nil)))
+	if _, err := ses.Eval(ch.Effective()); err != nil {
 		b.Fatal(err) // seed chosen healthy; a failure here is a bug
 	}
-	return gen, sc, ses, stream, faults
+	return gen, sc, ses, stream, ch
+}
+
+// chargeNodes marks nodes faulty in ch and returns the effective-set
+// additions, for core.Session.NoteAdded.
+func chargeNodes(ch *fault.Charger, nodes []int) []int {
+	var eff []int
+	for _, v := range nodes {
+		if _, e := ch.AddNode(v); e >= 0 {
+			eff = append(eff, e)
+		}
+	}
+	return eff
 }
 
 // benchChurnEval counts an unhealthy state as a normal outcome (it is
@@ -249,6 +260,37 @@ func benchChurnEval(b *testing.B, err error) {
 	}
 }
 
+// benchSessionSteps times b.N churn events, each evaluated
+// incrementally by the warm session.
+func benchSessionSteps(b *testing.B, gen *churn.Generator, ses *core.Session, stream *rng.PCG, ch *fault.Charger) {
+	b.Helper()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := gen.NextMixed(stream, ch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ses.NoteAdded(ev.EffAdded)
+		ses.NoteCleared(ev.EffCleared)
+		_, err = ses.Eval(ch.Effective())
+		benchChurnEval(b, err)
+	}
+}
+
+// benchScratchSteps times b.N churn events, each evaluated by a
+// from-scratch pipeline run on sc (dense: the whole-host pipeline).
+func benchScratchSteps(b *testing.B, g *core.Graph, gen *churn.Generator, sc *core.Scratch, stream *rng.PCG, ch *fault.Charger, dense bool) {
+	b.Helper()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.NextMixed(stream, ch); err != nil {
+			b.Fatal(err)
+		}
+		_, err := g.ContainTorus(ch.Effective(), core.ExtractOptions{Scratch: sc, Dense: dense})
+		benchChurnEval(b, err)
+	}
+}
+
 // BenchmarkChurnSession is the dynamic-workload headline: one op is one
 // churn event — a single fault arrival or repair at the steady state of
 // the theorem rate — evaluated incrementally by the core.Session
@@ -259,18 +301,8 @@ func benchChurnEval(b *testing.B, err error) {
 // the step runs ~40x faster (BENCH_pr4.json).
 func BenchmarkChurnSession(b *testing.B) {
 	g := benchGraphB2(b)
-	gen, _, ses, stream, faults := churnSteadyState(b, g, g.P.TheoremFailureProb())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := gen.Next(stream, faults)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ses.NoteAdded(ev.Added)
-		ses.NoteCleared(ev.Cleared)
-		_, err = ses.Eval(faults)
-		benchChurnEval(b, err)
-	}
+	gen, _, ses, stream, ch := churnSteadyState(b, g, g.P.TheoremFailureProb())
+	benchSessionSteps(b, gen, ses, stream, ch)
 }
 
 // BenchmarkChurnSessionHeavy is the same step at a 10x-theorem standing
@@ -280,18 +312,8 @@ func BenchmarkChurnSession(b *testing.B) {
 // vs O(standing footprint) separation shows.
 func BenchmarkChurnSessionHeavy(b *testing.B) {
 	g := benchGraphB2(b)
-	gen, _, ses, stream, faults := churnSteadyState(b, g, 10*g.P.TheoremFailureProb())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := gen.Next(stream, faults)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ses.NoteAdded(ev.Added)
-		ses.NoteCleared(ev.Cleared)
-		_, err = ses.Eval(faults)
-		benchChurnEval(b, err)
-	}
+	gen, _, ses, stream, ch := churnSteadyState(b, g, 10*g.P.TheoremFailureProb())
+	benchSessionSteps(b, gen, ses, stream, ch)
 }
 
 // BenchmarkChurnSessionFromScratch is the ablation baseline: the exact
@@ -301,30 +323,16 @@ func BenchmarkChurnSessionHeavy(b *testing.B) {
 // the delta-evaluation win alone.
 func BenchmarkChurnSessionFromScratch(b *testing.B) {
 	g := benchGraphB2(b)
-	gen, sc, _, stream, faults := churnSteadyState(b, g, g.P.TheoremFailureProb())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.Next(stream, faults); err != nil {
-			b.Fatal(err)
-		}
-		_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: sc})
-		benchChurnEval(b, err)
-	}
+	gen, sc, _, stream, ch := churnSteadyState(b, g, g.P.TheoremFailureProb())
+	benchScratchSteps(b, g, gen, sc, stream, ch, false)
 }
 
 // BenchmarkChurnSessionFromScratchHeavy is the from-scratch ablation at
 // the 10x standing population of BenchmarkChurnSessionHeavy.
 func BenchmarkChurnSessionFromScratchHeavy(b *testing.B) {
 	g := benchGraphB2(b)
-	gen, sc, _, stream, faults := churnSteadyState(b, g, 10*g.P.TheoremFailureProb())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.Next(stream, faults); err != nil {
-			b.Fatal(err)
-		}
-		_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: sc})
-		benchChurnEval(b, err)
-	}
+	gen, sc, _, stream, ch := churnSteadyState(b, g, 10*g.P.TheoremFailureProb())
+	benchScratchSteps(b, g, gen, sc, stream, ch, false)
 }
 
 // edgeChurnSteadyState prepares a steady-state *mixed* node+edge churn
@@ -378,17 +386,7 @@ func edgeChurnSteadyState(b *testing.B, g *core.Graph, scale float64) (*churn.Ge
 func BenchmarkEdgeChurnSession(b *testing.B) {
 	g := benchGraphB2(b)
 	gen, _, ses, stream, ch := edgeChurnSteadyState(b, g, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := gen.NextMixed(stream, ch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ses.NoteAdded(ev.EffAdded)
-		ses.NoteCleared(ev.EffCleared)
-		_, err = ses.Eval(ch.Effective())
-		benchChurnEval(b, err)
-	}
+	benchSessionSteps(b, gen, ses, stream, ch)
 }
 
 // BenchmarkEdgeChurnFromScratch re-runs the exact same mixed event
@@ -397,14 +395,7 @@ func BenchmarkEdgeChurnSession(b *testing.B) {
 func BenchmarkEdgeChurnFromScratch(b *testing.B) {
 	g := benchGraphB2(b)
 	gen, sc, _, stream, ch := edgeChurnSteadyState(b, g, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.NextMixed(stream, ch); err != nil {
-			b.Fatal(err)
-		}
-		_, err := g.ContainTorus(ch.Effective(), core.ExtractOptions{Scratch: sc})
-		benchChurnEval(b, err)
-	}
+	benchScratchSteps(b, g, gen, sc, stream, ch, false)
 }
 
 // BenchmarkEdgeChurnFromScratchDense is the dense from-scratch ablation:
@@ -413,14 +404,7 @@ func BenchmarkEdgeChurnFromScratch(b *testing.B) {
 func BenchmarkEdgeChurnFromScratchDense(b *testing.B) {
 	g := benchGraphB2(b)
 	gen, sc, _, stream, ch := edgeChurnSteadyState(b, g, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.NextMixed(stream, ch); err != nil {
-			b.Fatal(err)
-		}
-		_, err := g.ContainTorus(ch.Effective(), core.ExtractOptions{Scratch: sc, Dense: true})
-		benchChurnEval(b, err)
-	}
+	benchScratchSteps(b, g, gen, sc, stream, ch, true)
 }
 
 // BenchmarkLifetime covers the E16/E17 workload: one op is one full
@@ -585,18 +569,8 @@ func benchGraphB3(b *testing.B) *core.Graph {
 // the O(footprint) step.
 func BenchmarkChurnSession3D(b *testing.B) {
 	g := benchGraphB3(b)
-	gen, _, ses, stream, faults := churnSteadyState(b, g, g.P.TheoremFailureProb())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, err := gen.Next(stream, faults)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ses.NoteAdded(ev.Added)
-		ses.NoteCleared(ev.Cleared)
-		_, err = ses.Eval(faults)
-		benchChurnEval(b, err)
-	}
+	gen, _, ses, stream, ch := churnSteadyState(b, g, g.P.TheoremFailureProb())
+	benchSessionSteps(b, gen, ses, stream, ch)
 }
 
 // BenchmarkLifetimeBursty3DBatched runs one burst-heavy batched
@@ -638,41 +612,36 @@ func BenchmarkChurnSessionRearmed(b *testing.B) {
 		b.Skip("no single-node anchor-rotating fault on the bench host")
 	}
 	stationary := g.P.TheoremFailureProb()
-	gen, err := churn.NewGenerator(churn.Process{Arrival: stationary / (1 - stationary), Repair: 1}, g.NodeShape())
+	gen, err := churn.NewGeneratorHost(churn.Process{Arrival: stationary / (1 - stationary), Repair: 1}, g)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sc := core.NewScratch(1)
 	ses := g.NewSession(sc, core.ExtractOptions{})
 	stream := rng.NewPCG(4242, 1)
-	faults := sc.Faults(g.NumNodes())
+	ch := fault.NewCharger(g.NumNodes())
 	// Cold evaluation WITH the rotating fault: the cliff scenario.
-	faults.Add(rot)
-	ses.NoteAdded([]int{rot})
-	if _, err := ses.Eval(faults); err != nil {
+	ses.NoteAdded(chargeNodes(ch, []int{rot}))
+	if _, err := ses.Eval(ch.Effective()); err != nil {
 		b.Fatal(err)
 	}
 	// Standing population on top of the rotated state.
-	added := faults.BernoulliRecord(stream, stationary, nil)
-	ses.NoteAdded(added)
-	if _, err := ses.Eval(faults); err != nil {
+	ses.NoteAdded(chargeNodes(ch, fault.NewSet(g.NumNodes()).BernoulliRecord(stream, stationary, nil)))
+	if _, err := ses.Eval(ch.Effective()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev, err := gen.Next(stream, faults)
+		ev, err := gen.NextMixed(stream, ch)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ses.NoteAdded(ev.Added)
-		ses.NoteCleared(ev.Cleared)
+		ses.NoteAdded(ev.EffAdded)
+		ses.NoteCleared(ev.EffCleared)
 		// Keep the rotation pinned: if the event repaired the rotating
 		// fault, re-add it in the same step.
-		if !faults.Has(rot) {
-			faults.Add(rot)
-			ses.NoteAdded([]int{rot})
-		}
-		_, err = ses.Eval(faults)
+		ses.NoteAdded(chargeNodes(ch, []int{rot}))
+		_, err = ses.Eval(ch.Effective())
 		benchChurnEval(b, err)
 	}
 }

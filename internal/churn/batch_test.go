@@ -11,11 +11,11 @@ import (
 // seed and window size, Simulate with Options.Batch must reproduce the
 // per-event oracle bit for bit — death time, death rate, death size,
 // availability (same floating-point accrual order), event counts. The
-// regimes below are chosen to cross the unhealthy boundary in both
-// directions (the 422-poison steps of the serve path): clustered bursts
-// kill the torus mid-stream, repairs revive it, so the windows exercise
-// the one-eval survival path, the death bisection, and the
-// repair-revival eval.
+// regimes below are chosen so that windows cross the unhealthy boundary
+// in both directions (the 422-poison steps of the serve path):
+// clustered bursts kill the torus mid-window, repairs revive it, so the
+// probe must classify both kinds of transition and the window Eval must
+// defer past down states and commit again after a revival.
 
 // assertBatchGolden compares the per-event oracle against batched runs
 // at several window sizes on identical (proc, trials, seed, opts).
@@ -45,11 +45,11 @@ func assertBatchGolden(t *testing.T, g *core.Graph, proc Process, trials int, se
 	return want
 }
 
-// TestBatchGoldenAging pins the death-time bisection on the pure-aging
-// regime of E16: no repairs, every trial dies, StopAtDeath — the whole
-// trial is one growing window and the exact death event must come out
-// of the bisection, including the events-processed count the oracle
-// stops at.
+// TestBatchGoldenAging pins the death event on the pure-aging regime of
+// E16: no repairs, every trial dies, StopAtDeath — the window that
+// crosses into the first down state must stop at the oracle's exact
+// death event, including the events-processed count the oracle stops
+// at.
 func TestBatchGoldenAging(t *testing.T) {
 	g := testGraph(t)
 	proc := Process{Arrival: 5e-4}
@@ -61,7 +61,7 @@ func TestBatchGoldenAging(t *testing.T) {
 		died += rep.DeathRate()
 	}
 	if died == 0 {
-		t.Fatal("no trial died: the bisection path was never exercised")
+		t.Fatal("no trial died: no window crossed into a down state")
 	}
 }
 
@@ -164,7 +164,8 @@ func TestBatchGoldenWorkers(t *testing.T) {
 }
 
 // TestBatchRejectsIndependent pins the config error: the from-scratch
-// ablation has no incremental session to bisect with.
+// ablation resets the session before every event, so no window of
+// notes survives for a batched Eval to absorb.
 func TestBatchRejectsIndependent(t *testing.T) {
 	g := testGraph(t)
 	if _, err := Simulate(g, Process{Arrival: 1e-5}, 2, 1, Options{Horizon: 5, Batch: 8, Independent: true}); err == nil {

@@ -18,8 +18,12 @@
 // exactly what core.Session consumes: one event costs one incremental
 // Eval — O(fault footprint), not O(N) — instead of a from-scratch
 // pipeline run (BenchmarkChurnSession pins the gap). The lifetime driver
-// (lifetime.go) aggregates trials into death-time, death-size and
-// availability statistics on parallel.RunLifetime, with the same
+// (lifetime.go) runs one loop for every evaluation mode — per-event,
+// the from-scratch ablation (a session Reset before each Eval) and the
+// batched placement probe — and folds each event's status into one life
+// accumulator, which the coupled repair ladder (ladder.go) keeps per
+// rung. Trials aggregate into death-time, death-size and availability
+// statistics on parallel.RunLifetime, with the same
 // worker-count-independent determinism as every other engine in the
 // repository.
 package churn
@@ -106,25 +110,25 @@ func (p Process) Validate() error {
 
 // Event is one churn step: the simulated time it occurred at and the
 // fault-set delta it applied. All slices alias the generator's buffers
-// and are valid only until the next Next/NextMixed call.
+// and are valid only until the next NextMixed call.
 type Event struct {
 	Time    float64
 	Added   []int
 	Cleared []int
-	// EdgeAdded / EdgeCleared are the edge-fault deltas of a mixed
-	// (NextMixed) event, canonical (U < V).
+	// EdgeAdded / EdgeCleared are the edge-fault deltas, canonical
+	// (U < V).
 	EdgeAdded   []fault.Edge
 	EdgeCleared []fault.Edge
 	// EffAdded / EffCleared are the deltas to the *effective* (charged)
 	// node set — node deltas plus charged endpoints, deduplicated by the
 	// charger — exactly what core.Session.NoteAdded/NoteCleared consume.
-	// Only NextMixed fills them.
 	EffAdded   []int
 	EffCleared []int
 }
 
-// Host is the adjacency access the generator needs for edge events.
-// *core.Graph satisfies it.
+// Host is the host access the generator needs: the node grid for
+// clustered bursts and adjacency for edge events. *core.Graph satisfies
+// it.
 type Host interface {
 	NumNodes() int
 	Degree() int
@@ -133,15 +137,15 @@ type Host interface {
 }
 
 // Generator draws the event sequence of one trial and applies it to a
-// fault set. It owns the delta buffers, so steady-state stepping
+// fault.Charger. It owns the delta buffers, so steady-state stepping
 // allocates nothing (bursts excepted — they build a pattern set). A
 // Generator must not be shared by concurrent trials; call Reset at each
 // trial start.
 type Generator struct {
 	proc     Process
 	shape    grid.Shape // host node grid, for spatially structured bursts
-	host     Host       // adjacency for edge events; nil for node-only
-	numEdges int        // n * degree / 2 when host is set
+	host     Host       // adjacency for edge events
+	numEdges int        // n * degree / 2
 	now      float64
 
 	added, cleared       []int
@@ -150,26 +154,10 @@ type Generator struct {
 	nbuf, queue          []int
 }
 
-// NewGenerator builds a node-only generator for the process on a host
-// whose flat node indices are row-major over hostShape
-// (core.Graph.NodeShape). Processes with edge rates need adjacency:
-// use NewGeneratorHost.
-func NewGenerator(proc Process, hostShape grid.Shape) (*Generator, error) {
-	if err := proc.Validate(); err != nil {
-		return nil, err
-	}
-	if proc.HasEdgeEvents() {
-		return nil, fterr.New(fterr.Invalid, "churn.NewGenerator", "edge rates need host adjacency; use NewGeneratorHost")
-	}
-	if proc.BurstSize == 0 {
-		proc.BurstSize = 8
-	}
-	return &Generator{proc: proc, shape: hostShape.Clone()}, nil
-}
-
-// NewGeneratorHost builds a generator with full adjacency access,
-// enabling the edge-fault (link flap) event kinds alongside the node
-// kinds. Pass the core.Graph the trials run on.
+// NewGeneratorHost builds a generator for the process on host h: flat
+// node indices are row-major over h.NodeShape(), and h's adjacency
+// serves the edge-fault (link flap) event kinds. Pass the core.Graph the
+// trials run on.
 func NewGeneratorHost(proc Process, h Host) (*Generator, error) {
 	if err := proc.Validate(); err != nil {
 		return nil, err
@@ -194,63 +182,14 @@ func (gen *Generator) Reset() { gen.now = 0 }
 // Now returns the current simulated time.
 func (gen *Generator) Now() float64 { return gen.now }
 
-// Next advances to the next churn event, mutates faults by its delta,
-// and returns it. Gillespie's direct method: the waiting time is
-// exponential in the total rate of the current state, and the event kind
-// is chosen proportionally to its rate. An error means the process is
-// stuck (every competing rate is zero in this state) — with Arrival > 0
-// that requires an all-faulty host.
-func (gen *Generator) Next(r rng.Source, faults *fault.Set) (Event, error) {
-	n := faults.Len()
-	count := faults.Count()
-	rateArrival := gen.proc.Arrival * float64(n-count)
-	rateRepair := gen.proc.Repair * float64(count)
-	total := rateArrival + rateRepair + gen.proc.BurstRate
-	if total <= 0 {
-		return Event{}, fterr.New(fterr.Conflict, "churn.Next", "no event possible (%d/%d nodes faulty, rates %+v)", count, n, gen.proc)
-	}
-	// Exponential waiting time; 1-U keeps the argument in (0, 1].
-	gen.now += -math.Log(1-r.Float64()) / total
-	ev := Event{Time: gen.now, Added: gen.added[:0], Cleared: gen.cleared[:0]}
-	switch u := r.Float64() * total; {
-	case u < rateArrival:
-		// Uniform healthy node, by rejection: the expected iteration
-		// count is n/(n-count), ~1 in every realistic regime.
-		for {
-			v := r.Intn(n)
-			if !faults.Has(v) {
-				faults.Add(v)
-				ev.Added = append(ev.Added, v)
-				break
-			}
-		}
-	case u < rateArrival+rateRepair:
-		v := faults.Nth(r.Intn(count))
-		faults.Remove(v)
-		ev.Cleared = append(ev.Cleared, v)
-	default:
-		burst, err := fault.Adversarial(gen.proc.BurstPattern, gen.shape, gen.proc.BurstSize, 2, r)
-		if err != nil {
-			return Event{}, fterr.Wrap(fterr.Invalid, "churn.burst", err)
-		}
-		burst.ForEach(func(v int) {
-			if !faults.Has(v) {
-				faults.Add(v)
-				ev.Added = append(ev.Added, v)
-			}
-		})
-	}
-	gen.added, gen.cleared = ev.Added[:0], ev.Cleared[:0]
-	return ev, nil
-}
-
 // NextMixed advances to the next churn event of the mixed node+edge
 // process, mutates the charger by its delta, and returns it. Six event
 // kinds compete by rate (Gillespie's direct method): node arrival, node
 // repair, clustered node burst, edge flap, edge repair, clustered edge
-// burst. With every edge rate zero the draw sequence is identical to
-// Next on the charger's node set, so node-only workloads are
-// bit-identical on either entry point.
+// burst. Any family of rates may be zero; a node-only process draws
+// only node events, and its effective deltas equal its node deltas
+// (TestNextMixedGolden pins both streams). An error means the process
+// is stuck: every competing rate is zero in this state.
 //
 // The returned Event's EffAdded/EffCleared carry the effective
 // (charged) node deltas: feed them to core.Session.NoteAdded/NoteCleared
@@ -263,16 +202,13 @@ func (gen *Generator) NextMixed(r rng.Source, ch *fault.Charger) (Event, error) 
 	ecount := ch.Edges().Count()
 	rateArrival := gen.proc.Arrival * float64(n-count)
 	rateRepair := gen.proc.Repair * float64(count)
-	rateEdgeArr, rateEdgeRep, rateEdgeBurst := 0.0, 0.0, 0.0
-	if gen.host != nil {
-		rateEdgeArr = gen.proc.EdgeArrival * float64(gen.numEdges-ecount)
-		rateEdgeRep = gen.proc.EdgeRepair * float64(ecount)
-		rateEdgeBurst = gen.proc.EdgeBurstRate
-	}
-	total := rateArrival + rateRepair + gen.proc.BurstRate + rateEdgeArr + rateEdgeRep + rateEdgeBurst
+	rateEdgeArr := gen.proc.EdgeArrival * float64(gen.numEdges-ecount)
+	rateEdgeRep := gen.proc.EdgeRepair * float64(ecount)
+	total := rateArrival + rateRepair + gen.proc.BurstRate + rateEdgeArr + rateEdgeRep + gen.proc.EdgeBurstRate
 	if total <= 0 {
 		return Event{}, fterr.New(fterr.Conflict, "churn.NextMixed", "no event possible (%d/%d nodes, %d/%d edges faulty)", count, n, ecount, gen.numEdges)
 	}
+	// Exponential waiting time; 1-U keeps the argument in (0, 1].
 	gen.now += -math.Log(1-r.Float64()) / total
 	ev := Event{
 		Time:        gen.now,
@@ -291,6 +227,8 @@ func (gen *Generator) NextMixed(r rng.Source, ch *fault.Charger) (Event, error) 
 	}
 	switch u := r.Float64() * total; {
 	case u < rateArrival:
+		// Uniform healthy node, by rejection: the expected iteration
+		// count is n/(n-count), ~1 in every realistic regime.
 		for {
 			v := r.Intn(n)
 			if !nodes.Has(v) {

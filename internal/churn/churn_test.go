@@ -19,29 +19,30 @@ func testGraph(t *testing.T) *core.Graph {
 	return g
 }
 
-// TestGeneratorModel steps the Gillespie generator against a plain model:
-// times strictly increase, every event's delta matches the fault set's
-// actual transition, and the event mix covers arrivals, repairs and
-// bursts.
+// TestGeneratorModel steps the Gillespie generator on a node-only
+// process against a plain model: times strictly increase, every event's
+// delta matches the fault set's actual transition, and the event mix
+// covers arrivals, repairs and bursts.
 func TestGeneratorModel(t *testing.T) {
 	g := testGraph(t)
-	gen, err := NewGenerator(Process{
+	gen, err := NewGeneratorHost(Process{
 		Arrival:      1e-4,
 		Repair:       0.5,
 		BurstRate:    0.3,
 		BurstSize:    6,
 		BurstPattern: fault.Cluster,
-	}, g.NodeShape())
+	}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := fault.NewSet(g.NumNodes())
+	ch := fault.NewCharger(g.NumNodes())
+	faults := ch.Nodes()
 	r := rng.NewPCG(5, 1)
 	model := map[int]bool{}
 	last := 0.0
 	arrivals, repairs, bursts := 0, 0, 0
 	for step := 0; step < 400; step++ {
-		ev, err := gen.Next(r, faults)
+		ev, err := gen.NextMixed(r, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,10 +91,10 @@ func TestGeneratorModel(t *testing.T) {
 // TestProcessValidate pins the config errors.
 func TestProcessValidate(t *testing.T) {
 	g := testGraph(t)
-	if _, err := NewGenerator(Process{}, g.NodeShape()); err == nil {
+	if _, err := NewGeneratorHost(Process{}, g); err == nil {
 		t.Error("all-zero process must be rejected")
 	}
-	if _, err := NewGenerator(Process{Arrival: -1}, g.NodeShape()); err == nil {
+	if _, err := NewGeneratorHost(Process{Arrival: -1}, g); err == nil {
 		t.Error("negative rate must be rejected")
 	}
 	if _, err := Simulate(g, Process{Arrival: 1e-5}, 4, 1, Options{}); err == nil {

@@ -105,54 +105,12 @@ func TestGeneratorMixedModel(t *testing.T) {
 	}
 }
 
-// TestGeneratorEdgeRatesNeedHost pins the config error: a shape-only
-// generator cannot serve edge events.
+// TestGeneratorEdgeRatesNeedHost pins the config error for a negative
+// edge rate.
 func TestGeneratorEdgeRatesNeedHost(t *testing.T) {
 	g := testGraph(t)
-	if _, err := NewGenerator(Process{EdgeArrival: 1e-5}, g.NodeShape()); err == nil {
-		t.Fatal("edge rates without host adjacency must be rejected")
-	}
 	if _, err := NewGeneratorHost(Process{EdgeArrival: -1}, g); err == nil {
 		t.Fatal("negative edge rate must be rejected")
-	}
-}
-
-// TestNextMixedNodeOnlyMatchesNext pins the compatibility contract: with
-// every edge rate zero, NextMixed consumes the identical random stream
-// and produces the identical event sequence as Next.
-func TestNextMixedNodeOnlyMatchesNext(t *testing.T) {
-	g := testGraph(t)
-	proc := Process{Arrival: 1e-4, Repair: 0.5, BurstRate: 0.2, BurstSize: 5, BurstPattern: fault.Cluster}
-	genA, err := NewGenerator(proc, g.NodeShape())
-	if err != nil {
-		t.Fatal(err)
-	}
-	genB, err := NewGeneratorHost(proc, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.NewSet(g.NumNodes())
-	ch := fault.NewCharger(g.NumNodes())
-	rA := rng.NewPCG(23, 5)
-	rB := rng.NewPCG(23, 5)
-	for step := 0; step < 300; step++ {
-		evA, errA := genA.Next(rA, faults)
-		evB, errB := genB.NextMixed(rB, ch)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("step %d: outcome mismatch %v vs %v", step, errA, errB)
-		}
-		if evA.Time != evB.Time {
-			t.Fatalf("step %d: times diverged %v vs %v", step, evA.Time, evB.Time)
-		}
-		if !intSliceEq(evA.Added, evB.Added) || !intSliceEq(evA.Cleared, evB.Cleared) {
-			t.Fatalf("step %d: deltas diverged: %v/%v vs %v/%v", step, evA.Added, evA.Cleared, evB.Added, evB.Cleared)
-		}
-		if !intSliceEq(evB.Added, evB.EffAdded) || !intSliceEq(evB.Cleared, evB.EffCleared) {
-			t.Fatalf("step %d: node-only effective delta differs from node delta", step)
-		}
-	}
-	if faults.Count() != ch.Nodes().Count() {
-		t.Fatalf("final counts diverged: %d vs %d", faults.Count(), ch.Nodes().Count())
 	}
 }
 
@@ -205,16 +163,4 @@ func TestParallelDeterminismChurnMixed(t *testing.T) {
 				c, indep.Mean[c], want.Mean[c])
 		}
 	}
-}
-
-func intSliceEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

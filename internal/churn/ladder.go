@@ -35,7 +35,7 @@ import (
 //     rungs still holding it.
 //   - Status sharing: nested sets with equal counts are equal, so one
 //     placement probe (core.Graph.Tolerates — the pipeline's exact
-//     health classification, see batch.go) serves every drained rung
+//     health classification, see lifetimeTrial) serves every drained rung
 //     whose fault set coincides with its neighbor's. Fast-repair rungs
 //     spend most of the horizon sharing one near-empty set.
 //
@@ -88,18 +88,13 @@ func (lr LadderResult) DeathRate(rung int) float64 {
 }
 
 // ladderState is the per-worker scratch bundle for coupled ladder
-// trials: one fault set per rung plus the shared placement scratch.
+// trials: one fault set and one life accumulator per rung, plus the
+// shared placement scratch.
 type ladderState struct {
 	sc      *core.Scratch
 	sets    []*fault.Set
 	changed []bool
-	up      []bool
-	died    []bool
-	dTime   []float64
-	dFaults []int
-	upTime  []float64
-	last    []float64
-	events  []int
+	lives   []life
 }
 
 // SimulateRepairLadder runs coupled lifetime trials of the birth-death
@@ -137,13 +132,7 @@ func SimulateRepairLadder(g *core.Graph, lambda float64, rhos []float64, trials 
 				sc:      core.NewScratch(1),
 				sets:    make([]*fault.Set, m),
 				changed: make([]bool, m),
-				up:      make([]bool, m),
-				died:    make([]bool, m),
-				dTime:   make([]float64, m),
-				dFaults: make([]int, m),
-				upTime:  make([]float64, m),
-				last:    make([]float64, m),
-				events:  make([]int, m),
+				lives:   make([]life, m),
 			}
 			for r := range ls.sets {
 				ls.sets[r] = fault.NewSet(g.NumNodes())
@@ -174,13 +163,7 @@ func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64
 	rhoMax := rhos[m-1]
 	for r := 0; r < m; r++ {
 		ls.sets[r].Clear()
-		ls.up[r] = true // the fault-free host trivially contains the torus
-		ls.died[r] = false
-		ls.dTime[r] = horizon
-		ls.dFaults[r] = 0
-		ls.upTime[r] = 0
-		ls.last[r] = 0
-		ls.events[r] = 0
+		ls.lives[r].reset(horizon)
 	}
 
 	arrivalMass := lambda * float64(n)
@@ -231,7 +214,7 @@ func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64
 			var upNow bool
 			switch {
 			case !ls.changed[r]:
-				upNow = ls.up[r]
+				upNow = ls.lives[r].up
 			case cnt == prevCnt:
 				upNow = prevUp
 			default:
@@ -241,7 +224,8 @@ func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64
 					return err
 				}
 				if verify {
-					full, err := evalClass(evalErrOnly(g.ContainTorus(ls.sets[r], core.ExtractOptions{Scratch: ls.sc})))
+					_, err := g.ContainTorus(ls.sets[r], core.ExtractOptions{Scratch: ls.sc})
+					full, err := evalClass(err)
 					if err != nil {
 						return err
 					}
@@ -251,34 +235,13 @@ func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64
 				}
 			}
 			prevCnt, prevUp = cnt, upNow
-			if !ls.changed[r] {
-				continue
+			if ls.changed[r] {
+				ls.lives[r].event(now, upNow, cnt)
 			}
-			if ls.up[r] {
-				ls.upTime[r] += now - ls.last[r]
-			}
-			ls.last[r] = now
-			ls.events[r]++
-			if ls.up[r] && !upNow && !ls.died[r] {
-				ls.died[r] = true
-				ls.dTime[r] = now
-				ls.dFaults[r] = cnt
-			}
-			ls.up[r] = upNow
 		}
 	}
-	for r := 0; r < m; r++ {
-		if ls.up[r] {
-			ls.upTime[r] += horizon - ls.last[r]
-		}
-		base := r * NumMetrics
-		out[base+MetricDeathTime] = ls.dTime[r]
-		if ls.died[r] {
-			out[base+MetricDied] = 1
-			out[base+MetricDeathFaults] = float64(ls.dFaults[r])
-		}
-		out[base+MetricAvailability] = ls.upTime[r] / horizon
-		out[base+MetricEvents] = float64(ls.events[r])
+	for r := range ls.lives {
+		ls.lives[r].write(horizon, out[r*NumMetrics:(r+1)*NumMetrics])
 	}
 	return nil
 }

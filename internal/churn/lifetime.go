@@ -49,14 +49,14 @@ type Options struct {
 	MaxEvents int
 	// Batch, when >= 2, decides each event's status with the
 	// placement-only probe (core.Graph.Tolerates — the oracle's exact
-	// health classification, see batch.go) and runs the full pipeline
-	// once per window of Batch events, where the session's bidirectional
-	// add/clear absorbs the window's mutations in one warm incremental
-	// step. Every reported metric — death time, death size, availability,
-	// event counts — is bit-identical to the per-event evaluator; only
-	// the cost moves. 0 or 1 keeps the per-event oracle. Incompatible
-	// with Independent (the from-scratch ablation has no incremental
-	// session to batch into).
+	// health classification, see lifetimeTrial) and runs the full
+	// pipeline once per window of Batch events on an up state, where the
+	// session's bidirectional add/clear absorbs the window's mutations in
+	// one warm incremental step. Every reported metric — death time,
+	// death size, availability, event counts — is bit-identical to the
+	// per-event evaluator; only the cost moves. 0 or 1 keeps the
+	// per-event oracle. Incompatible with Independent, whose per-event
+	// Reset leaves no window of notes to absorb.
 	Batch int
 	// StopAtDeath ends each trial at its first unembeddable state
 	// instead of simulating to the horizon. Death time, death size and
@@ -66,12 +66,15 @@ type Options struct {
 	// mean-faults-to-death experiments use it to skip simulating dead
 	// machines.
 	StopAtDeath bool
-	// Independent is the ablation switch: evaluate every event with a
-	// from-scratch pipeline run (core.ContainTorus) instead of the
-	// incremental session. Outcomes are bit-identical either way — the
+	// Independent is the from-scratch ablation: the session is Reset
+	// before every event's Eval, so each state is evaluated against
+	// commit zero (the all-defaults template) instead of the previous
+	// event's commit. Outcomes are bit-identical either way — the
 	// session's equivalence contract — so the flag only moves cost.
 	Independent bool
-	// Dense additionally forces the legacy whole-host pipeline per event.
+	// Dense builds each worker's session in dense mode: every Eval runs
+	// the whole-host pipeline, the engine's oracle. It is read once,
+	// when a worker's session is built.
 	Dense bool
 }
 
@@ -116,11 +119,10 @@ type trialState struct {
 
 // Simulate runs lifetime trials of the churn process on g's Theorem 2
 // host and aggregates them. Each trial starts from the fault-free host,
-// steps the process to opts.Horizon, and re-evaluates the pipeline after
-// every event through one core.Session (or from scratch, with
-// opts.Independent). Determinism follows the repository contract: trial
-// t draws only from its (seed, t) PCG stream and results are
-// bit-identical for every worker count.
+// steps the process to opts.Horizon, and decides every event's status
+// through one core.Session per worker (see lifetimeTrial). Determinism
+// follows the repository contract: trial t draws only from its (seed, t)
+// PCG stream and results are bit-identical for every worker count.
 func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options) (Result, error) {
 	if opts.Horizon <= 0 {
 		return Result{}, fterr.New(fterr.Invalid, "churn.Simulate", "horizon %v <= 0", opts.Horizon)
@@ -131,9 +133,8 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 	if opts.Batch > 1 && opts.Independent {
 		return Result{}, fterr.New(fterr.Invalid, "churn.Simulate", "Batch=%d requires the incremental session; Independent evaluates from scratch per event", opts.Batch)
 	}
-	maxEvents := opts.MaxEvents
-	if maxEvents <= 0 {
-		maxEvents = 1 << 20
+	if opts.MaxEvents <= 0 {
+		opts.MaxEvents = 1 << 20
 	}
 	popts := parallel.Options{
 		Workers:  opts.Workers,
@@ -155,11 +156,7 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 		},
 	}
 	rep, err := parallel.RunLifetime(trials, NumMetrics, seed, popts, func(t int, stream *rng.PCG, scratch any, out []float64) error {
-		ts := scratch.(*trialState)
-		if opts.Batch > 1 {
-			return batchedLifetimeTrial(g, ts, stream, opts.Horizon, maxEvents, opts.Batch, opts, out)
-		}
-		return lifetimeTrial(g, ts, stream, opts.Horizon, maxEvents, opts, out)
+		return lifetimeTrial(g, scratch.(*trialState), stream, opts, out)
 	})
 	if err != nil {
 		return Result{}, err
@@ -168,80 +165,157 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 }
 
 // lifetimeTrial steps one trial from the fault-free host to the horizon.
-// The mixed node+edge process mutates a fault.Charger; the pipeline —
-// incremental or from-scratch — always evaluates the *effective*
-// (charged) node set, so both paths stay bit-identical for any mix of
-// node faults and link flaps.
-func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, horizon float64, maxEvents int, opts Options, out []float64) error {
+// The mixed node+edge process mutates a fault.Charger, and every status
+// is decided on the *effective* (charged) node set. Only the source of
+// an event's status depends on the options:
+//
+//   - per event (the oracle): one session Eval on the event's deltas;
+//   - Independent: the same Eval after a session Reset, so each event is
+//     evaluated from commit zero instead of from the previous event;
+//   - Batch >= 2: the placement probe core.Graph.Tolerates, plus one warm
+//     session Eval per window of Batch events.
+//
+// Why a probe instead of bisecting a window for its death event:
+// bisection leans on embeddability being antitone in the fault set, and
+// it is not. Condition 2 can reject a fault set and accept a superset,
+// because an added fault can merge two boxes that each needed their own
+// band segment in a shared slab into one box needing a single segment
+// (TestToleratesNotMonotone pins a three/four-fault counterexample, and
+// unrepaired Gillespie streams cross such states), so no window-end
+// evaluation says anything about its unevaluated prefixes. What is
+// sound: every unhealthy classification the pipeline makes is decided by
+// the placement stages alone — extraction and verification fail only on
+// bug-class invariant violations — so the probe is the oracle's exact
+// status at a fraction of its cost. The window Eval keeps the session's
+// committed state bounded and cross-checks the probe: a state the probe
+// accepts and the pipeline rejects is an internal error.
+//
+// Every mode draws the same events in the same order and feeds the same
+// statuses to one life accumulator, so every reported metric is
+// bit-identical across modes by construction (TestSimulateGolden and the
+// goldens in batch_test.go pin it); only the cost moves.
+func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, opts Options, out []float64) error {
 	ts.gen.Reset()
 	ts.ses.Reset()
 	ts.ch.Reset()
-
-	up := true // the fault-free host trivially contains the torus
-	died := false
-	deathTime := horizon
-	deathFaults := 0
-	upTime := 0.0
-	now := 0.0
-	events := 0
+	var l life
+	l.reset(opts.Horizon)
+	pending := 0 // batched: events since the last committed session Eval
 	for {
-		if events >= maxEvents {
+		if l.events >= opts.MaxEvents {
 			// Refusing to report is better than silently crediting the
 			// unsimulated tail of the horizon as up-time.
-			return fterr.New(fterr.Conflict, "churn.lifetimeTrial", "trial exceeded MaxEvents=%d at t=%.3g of horizon %.3g; raise Options.MaxEvents or shorten the horizon", maxEvents, now, horizon)
+			return fterr.New(fterr.Conflict, "churn.lifetimeTrial", "trial exceeded MaxEvents=%d at t=%.3g of horizon %.3g; raise Options.MaxEvents or shorten the horizon", opts.MaxEvents, l.last, opts.Horizon)
 		}
 		ev, err := ts.gen.NextMixed(stream, ts.ch)
 		if err != nil {
 			return err
 		}
-		if ev.Time >= horizon {
+		if ev.Time >= opts.Horizon {
 			// The event lands beyond the trial: the pre-event state
 			// persists to the horizon. (The fault set was already
 			// mutated, but nothing reads it after this point.)
 			break
 		}
-		if up {
-			upTime += ev.Time - now
-		}
-		now = ev.Time
-		events++
-
-		var evalErr error
 		if opts.Independent {
-			_, evalErr = g.ContainTorus(ts.ch.Effective(), core.ExtractOptions{Scratch: ts.sc, Dense: opts.Dense})
+			ts.ses.Reset()
 		} else {
+			// Batched windows evaluate only at their boundaries, but the
+			// note contract — every mutation since the last successful
+			// Eval — must hold at each of them, so every event reports.
 			ts.ses.NoteAdded(ev.EffAdded)
 			ts.ses.NoteCleared(ev.EffCleared)
-			_, evalErr = ts.ses.Eval(ts.ch.Effective())
 		}
-		switch {
-		case evalErr == nil:
-			up = true
-		default:
-			var ue *core.UnhealthyError
-			if !errors.As(evalErr, &ue) {
-				return evalErr
+		eff := ts.ch.Effective()
+		var upNow bool
+		if opts.Batch > 1 {
+			pending++
+			upNow, err = evalClass(g.Tolerates(eff, ts.sc))
+			if err == nil && upNow && pending >= opts.Batch {
+				// Window boundary on a tolerated state. A down state defers
+				// the boundary: failed Evals do not commit, and the notes
+				// keep accumulating.
+				if _, err = ts.ses.Eval(eff); errors.As(err, new(*core.UnhealthyError)) {
+					return fterr.New(fterr.Internal, "churn.batch", "placement probe accepted a state the full pipeline rejects: %v", err)
+				}
+				pending = 0
 			}
-			if up && !died {
-				died = true
-				deathTime = now
-				deathFaults = ts.ch.Nodes().Count() + ts.ch.Edges().Count()
-			}
-			up = false
+		} else {
+			_, err = ts.ses.Eval(eff)
+			upNow, err = evalClass(err)
 		}
-		if died && opts.StopAtDeath {
+		if err != nil {
+			return err
+		}
+		l.event(ev.Time, upNow, ts.ch.Nodes().Count()+ts.ch.Edges().Count())
+		if l.died && opts.StopAtDeath {
 			break
 		}
 	}
-	if up {
-		upTime += horizon - now
-	}
-	out[MetricDeathTime] = deathTime
-	if died {
-		out[MetricDied] = 1
-		out[MetricDeathFaults] = float64(deathFaults)
-	}
-	out[MetricAvailability] = upTime / horizon
-	out[MetricEvents] = float64(events)
+	l.write(opts.Horizon, out)
 	return nil
+}
+
+// evalClass folds a pipeline outcome into up/down, passing bug-class
+// errors through.
+func evalClass(err error) (bool, error) {
+	if err == nil {
+		return true, nil
+	}
+	var ue *core.UnhealthyError
+	if errors.As(err, &ue) {
+		return false, nil
+	}
+	return false, err
+}
+
+// life accumulates one trial's lifetime metrics from its sequence of
+// state changes. lifetimeTrial keeps one; the coupled ladder keeps one
+// per rung.
+type life struct {
+	up          bool // the current state contains the torus
+	died        bool
+	deathTime   float64
+	deathFaults int
+	upTime      float64
+	last        float64 // time of the last state change
+	events      int
+}
+
+// reset starts a trial on the fault-free host, which trivially contains
+// the torus.
+func (l *life) reset(horizon float64) {
+	*l = life{up: true, deathTime: horizon}
+}
+
+// event records a state change at time t into a state with status upNow
+// holding faults faults. The previous state lasted since the last
+// change; the first down state latches the death.
+func (l *life) event(t float64, upNow bool, faults int) {
+	if l.up {
+		l.upTime += t - l.last
+	}
+	l.last = t
+	l.events++
+	if l.up && !upNow && !l.died {
+		l.died = true
+		l.deathTime = t
+		l.deathFaults = faults
+	}
+	l.up = upNow
+}
+
+// write closes the trial at the horizon and writes its NumMetrics
+// outcomes into out, which the engine hands over zeroed.
+func (l *life) write(horizon float64, out []float64) {
+	if l.up {
+		l.upTime += horizon - l.last
+	}
+	out[MetricDeathTime] = l.deathTime
+	if l.died {
+		out[MetricDied] = 1
+		out[MetricDeathFaults] = float64(l.deathFaults)
+	}
+	out[MetricAvailability] = l.upTime / horizon
+	out[MetricEvents] = float64(l.events)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -132,8 +133,9 @@ func TestServeEdgeFaults(t *testing.T) {
 
 // TestScratchExtractEdgeFaults pins the convergence oracle on a mixed
 // population: with one node fault and one edge fault committed,
-// ScratchExtract must charge the edge to its endpoint and return exactly
-// the served map.
+// ScratchExtract must charge the edge to its endpoint, return exactly
+// the served map, and report the fault sets it extracted — the served
+// node and edge faults.
 func TestScratchExtractEdgeFaults(t *testing.T) {
 	srv, ts := startServer(t, testConfig(t, nil))
 	topo := srv.topos["main"]
@@ -158,6 +160,10 @@ func TestScratchExtractEdgeFaults(t *testing.T) {
 	}
 	if want.Generation != emb.Generation {
 		t.Fatalf("ScratchExtract generation %d, served %d", want.Generation, emb.Generation)
+	}
+	if !slices.Equal(want.Faults, emb.Faults) || !slices.Equal(want.Edges, emb.EdgeFaults) {
+		t.Fatalf("ScratchExtract fault sets: faults=%v edges=%v, served faults=%v edges=%v",
+			want.Faults, want.Edges, emb.Faults, emb.EdgeFaults)
 	}
 	if len(want.Map) != len(emb.Map) {
 		t.Fatalf("map sizes: ScratchExtract %d, served %d", len(want.Map), len(emb.Map))

@@ -9,7 +9,8 @@ import (
 // ScratchExtract recomputes the committed embedding of one hosted
 // topology from scratch: a fresh Extract over exactly the committed
 // fault set — node faults plus the endpoint each edge fault is charged
-// to — sharing no state with the incremental session. The
+// to — sharing no state with the incremental session. The returned
+// snapshot reports both committed sets, Faults and Edges. The
 // pipeline is deterministic and incremental reembedding is pinned
 // bit-identical to from-scratch extraction, so this is the convergence
 // oracle for resilience tests — a client that synced through chaos must
@@ -37,6 +38,7 @@ func (s *Server) ScratchExtract(id string) (*wire.Snapshot, error) {
 		Side:       emb.Side,
 		Dims:       emb.Dims,
 		Faults:     snap.FaultNodes,
+		Edges:      snap.FaultEdges,
 		Map:        emb.Map,
 		Checksum:   wire.Checksum(emb.Map),
 	}, nil

@@ -77,12 +77,8 @@ func (ps *Probes) engineOpts() parallel.Options {
 		Workers:    ps.cfg.Workers,
 		ShardSize:  ps.cfg.ShardSize,
 		TargetCI:   ps.cfg.TargetCI,
-		NewScratch: func() any { return core.NewScratch(1) },
+		NewScratch: func() any { return newCurveScratch(ps.g, ps.cfg) },
 	}
-}
-
-func (ps *Probes) pipelineOpts(sc *core.Scratch) core.ExtractOptions {
-	return core.ExtractOptions{Scratch: sc, Dense: ps.cfg.Dense}
 }
 
 // Rate measures survival at node-failure probability p over the coupled
@@ -95,11 +91,10 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 	if ps.cfg.Independent {
 		rep, err := parallel.Run(ps.trials, rng.Hash64(ps.seed, math.Float64bits(p)), ps.engineOpts(),
 			func(t int, stream *rng.PCG, scratch any) (stats.Outcome, error) {
-				sc := scratch.(*core.Scratch)
-				faults := sc.Faults(g.NumNodes())
+				cs := scratch.(*curveScratch)
+				faults := cs.sc.Faults(g.NumNodes())
 				faults.Bernoulli(stream, p)
-				_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-				return Classify(err)
+				return cs.evalFresh(faults)
 			})
 		return rep.Result, err
 	}
@@ -108,7 +103,7 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 	}
 	rep, err := parallel.Run(ps.trials, ps.seed, ps.engineOpts(),
 		func(t int, _ *rng.PCG, scratch any) (stats.Outcome, error) {
-			sc := scratch.(*core.Scratch)
+			cs := scratch.(*curveScratch)
 			rs := &ps.rate[t]
 			if rs.pcg == nil {
 				// One private stream per trial, persisting across probes;
@@ -121,14 +116,13 @@ func (ps *Probes) Rate(p float64) (stats.Result, error) {
 			if err := rs.extendTo(ps.base, p); err != nil {
 				return stats.Failure, err
 			}
-			faults := sc.Faults(g.NumNodes())
+			faults := cs.sc.Faults(g.NumNodes())
 			for i, u := range rs.u {
 				if u < p {
 					faults.Add(int(rs.idx[i]))
 				}
 			}
-			_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-			return Classify(err)
+			return cs.evalFresh(faults)
 		})
 	return rep.Result, err
 }
@@ -172,13 +166,12 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 	if ps.cfg.Independent {
 		rep, err := parallel.Run(ps.trials, rng.Hash64(ps.seed, uint64(k)), ps.engineOpts(),
 			func(t int, stream *rng.PCG, scratch any) (stats.Outcome, error) {
-				sc := scratch.(*core.Scratch)
-				faults := sc.Faults(g.NumNodes())
+				cs := scratch.(*curveScratch)
+				faults := cs.sc.Faults(g.NumNodes())
 				if err := faults.ExactRandom(stream, k); err != nil {
 					return stats.Failure, err
 				}
-				_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-				return Classify(err)
+				return cs.evalFresh(faults)
 			})
 		return rep.Result, err
 	}
@@ -187,7 +180,7 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 	}
 	rep, err := parallel.Run(ps.trials, ps.seed, ps.engineOpts(),
 		func(t int, _ *rng.PCG, scratch any) (stats.Outcome, error) {
-			sc := scratch.(*core.Scratch)
+			cs := scratch.(*curveScratch)
 			cp := &ps.count[t]
 			if cp.pcg == nil {
 				cp.pcg = rng.NewPCG(ps.seed, rng.Hash64(uint64(t), 0x51ab))
@@ -200,12 +193,11 @@ func (ps *Probes) Count(k int) (stats.Result, error) {
 					cp.order = append(cp.order, int32(i))
 				}
 			}
-			faults := sc.Faults(g.NumNodes())
+			faults := cs.sc.Faults(g.NumNodes())
 			for _, i := range cp.order[:k] {
 				faults.Add(int(i))
 			}
-			_, err := g.ContainTorus(faults, ps.pipelineOpts(sc))
-			return Classify(err)
+			return cs.evalFresh(faults)
 		})
 	return rep.Result, err
 }

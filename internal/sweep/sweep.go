@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"ftnet/internal/core"
+	"ftnet/internal/fault"
 	"ftnet/internal/parallel"
 	"ftnet/internal/rng"
 	"ftnet/internal/stats"
@@ -45,10 +46,13 @@ type Config struct {
 	// is narrower than this width.
 	TargetCI float64
 	// Independent disables the nested coupling: every rung of every trial
-	// draws a fresh Bernoulli fault set and runs the pipeline cold. This
-	// is the ablation baseline the coupled engine is benchmarked against.
+	// draws a fresh Bernoulli fault set and evaluates it from scratch (a
+	// session Reset before its Eval). This is the ablation baseline the
+	// coupled engine is benchmarked against.
 	Independent bool
-	// Dense forces the legacy whole-host pipeline in every rung.
+	// Dense builds each worker's session in dense mode, so every rung and
+	// probe runs the whole-host pipeline. It is read once, when a
+	// worker's session is built (newCurveScratch).
 	Dense bool
 }
 
@@ -79,11 +83,28 @@ func Classify(err error) (stats.Outcome, error) {
 	return stats.Failure, err
 }
 
-// curveScratch is the per-worker state bundle for curve trials.
+// curveScratch is the per-worker state bundle for curve trials and
+// probes: one scratch and the session that evaluates on it.
 type curveScratch struct {
 	sc    *core.Scratch
 	ses   *core.Session
 	added []int
+}
+
+// newCurveScratch builds one worker's state. It is the only reader of
+// cfg.Dense: a dense session runs the whole-host pipeline on every Eval.
+func newCurveScratch(g *core.Graph, cfg Config) *curveScratch {
+	sc := core.NewScratch(1)
+	return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
+}
+
+// evalFresh classifies faults evaluated from scratch: a session Reset,
+// so the Eval diffs against commit zero (the all-defaults template)
+// rather than the worker's previous state, then the Eval.
+func (cs *curveScratch) evalFresh(faults *fault.Set) (stats.Outcome, error) {
+	cs.ses.Reset()
+	_, err := cs.ses.Eval(faults)
+	return Classify(err)
 }
 
 // SurvivalCurve measures survival of g's Theorem 2 pipeline at every rate
@@ -101,13 +122,10 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 		}
 	}
 	opts := parallel.Options{
-		Workers:   cfg.Workers,
-		ShardSize: cfg.ShardSize,
-		TargetCI:  cfg.TargetCI,
-		NewScratch: func() any {
-			sc := core.NewScratch(1)
-			return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
-		},
+		Workers:    cfg.Workers,
+		ShardSize:  cfg.ShardSize,
+		TargetCI:   cfg.TargetCI,
+		NewScratch: func() any { return newCurveScratch(g, cfg) },
 	}
 	var fn parallel.LadderTrial
 	if cfg.Independent {
@@ -119,8 +137,8 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 				if stopped[r] {
 					continue
 				}
-				_, err := g.ContainTorus(faults, core.ExtractOptions{Scratch: cs.sc, Dense: cfg.Dense})
-				if out[r], err = Classify(err); err != nil {
+				var err error
+				if out[r], err = cs.evalFresh(faults); err != nil {
 					return err
 				}
 			}

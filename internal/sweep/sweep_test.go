@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftnet/internal/core"
+	"ftnet/internal/stats"
 )
 
 func testGraph(t *testing.T) *core.Graph {
@@ -176,5 +177,49 @@ func TestCurveRejectsBadLadder(t *testing.T) {
 	}
 	if _, err := ps.Count(math.MaxInt32); err == nil {
 		t.Error("out-of-range count accepted")
+	}
+}
+
+// TestDenseMatchesSession pins the Dense ablation to the session engine:
+// a worker's session built in dense mode runs the whole-host pipeline on
+// every Eval, and every curve rung and probe must come out identical.
+func TestDenseMatchesSession(t *testing.T) {
+	g := testGraph(t)
+	rates := testRates(g)
+	for _, cfg := range []Config{{}, {Independent: true}} {
+		cfg.Workers = 2
+		want, err := SurvivalCurve(g, rates, 16, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Dense = true
+		got, err := SurvivalCurve(g, rates, 16, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range want.Rungs {
+			if got.Rungs[r] != want.Rungs[r] {
+				t.Fatalf("independent=%v rung %d: dense %+v, session %+v", cfg.Independent, r, got.Rungs[r], want.Rungs[r])
+			}
+		}
+	}
+	pThm := g.P.TheoremFailureProb()
+	for _, indep := range []bool{false, true} {
+		var res [2][2]stats.Result
+		for i, dense := range []bool{false, true} {
+			ps, err := NewProbes(g, 12, 5, pThm, Config{Workers: 2, Independent: indep, Dense: dense})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i][0], err = ps.Rate(30 * pThm); err != nil {
+				t.Fatal(err)
+			}
+			if res[i][1], err = ps.Count(24); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res[0] != res[1] {
+			t.Fatalf("independent=%v: dense probes %+v, session probes %+v", indep, res[1], res[0])
+		}
 	}
 }
