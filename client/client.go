@@ -128,7 +128,7 @@ type Client struct {
 	jitterMu sync.Mutex
 	jitter   *rng.PCG
 
-	snapMu sync.Mutex
+	syncMu sync.Mutex
 	snap   *wire.Snapshot // last synced full state, nil before first Sync
 
 	maxGen atomic.Int64 // highest generation ever observed (stale-read fence)
@@ -369,12 +369,18 @@ type mutationRequest struct {
 	Nodes []int `json:"nodes"`
 }
 
-// mutate posts a fault batch. Mutations are idempotent (the daemon
-// folds node sets), so retrying a batch whose response was lost is
-// safe: re-adding a faulty node is a no-op.
-func (c *Client) mutate(ctx context.Context, method string, nodes []int) (State, error) {
+type edgeMutationRequest struct {
+	Edges [][2]int `json:"edges"`
+}
+
+// mutate posts a node or edge fault batch (or, with a nil body, a flush)
+// to the topology route path and returns the committed state covering
+// it. Mutations are idempotent (the daemon folds node and edge sets), so
+// retrying a batch whose response was lost is safe: re-reporting a
+// faulty node or edge is a no-op.
+func (c *Client) mutate(ctx context.Context, method, path string, body any) (State, error) {
 	var st State
-	err := c.jsonOp(ctx, method, c.topoURL("/faults"), mutationRequest{Nodes: nodes}, &st)
+	err := c.jsonOp(ctx, method, c.topoURL(path), body, &st)
 	if err == nil {
 		c.noteGeneration(st.Generation)
 	}
@@ -385,27 +391,12 @@ func (c *Client) mutate(ctx context.Context, method string, nodes []int) (State,
 // covering them. A CodeNotTolerated error means the daemon recorded
 // the faults but keeps serving the last good generation.
 func (c *Client) AddFaults(ctx context.Context, nodes ...int) (State, error) {
-	return c.mutate(ctx, "POST", nodes)
+	return c.mutate(ctx, "POST", "/faults", mutationRequest{Nodes: nodes})
 }
 
 // ClearFaults reports repaired host nodes.
 func (c *Client) ClearFaults(ctx context.Context, nodes ...int) (State, error) {
-	return c.mutate(ctx, "DELETE", nodes)
-}
-
-type edgeMutationRequest struct {
-	Edges [][2]int `json:"edges"`
-}
-
-// mutateEdges posts an edge-fault batch. Idempotent like mutate: the
-// daemon folds edge sets, so re-reporting a faulty edge is a no-op.
-func (c *Client) mutateEdges(ctx context.Context, method string, edges [][2]int) (State, error) {
-	var st State
-	err := c.jsonOp(ctx, method, c.topoURL("/edge-faults"), edgeMutationRequest{Edges: edges}, &st)
-	if err == nil {
-		c.noteGeneration(st.Generation)
-	}
-	return st, err
+	return c.mutate(ctx, "DELETE", "/faults", mutationRequest{Nodes: nodes})
 }
 
 // AddEdgeFaults reports failed host links as {u, v} endpoint pairs
@@ -414,22 +405,17 @@ func (c *Client) mutateEdges(ctx context.Context, method string, edges [][2]int)
 // adjacency — with all-or-nothing semantics: one bad edge rejects the
 // request with CodeInvalid and none of it is applied.
 func (c *Client) AddEdgeFaults(ctx context.Context, edges ...[2]int) (State, error) {
-	return c.mutateEdges(ctx, "POST", edges)
+	return c.mutate(ctx, "POST", "/edge-faults", edgeMutationRequest{Edges: edges})
 }
 
 // ClearEdgeFaults reports repaired host links.
 func (c *Client) ClearEdgeFaults(ctx context.Context, edges ...[2]int) (State, error) {
-	return c.mutateEdges(ctx, "DELETE", edges)
+	return c.mutate(ctx, "DELETE", "/edge-faults", edgeMutationRequest{Edges: edges})
 }
 
 // Reembed flushes pending asynchronous mutations and evaluates now.
 func (c *Client) Reembed(ctx context.Context) (State, error) {
-	var st State
-	err := c.jsonOp(ctx, "POST", c.topoURL("/reembed"), nil, &st)
-	if err == nil {
-		c.noteGeneration(st.Generation)
-	}
-	return st, err
+	return c.mutate(ctx, "POST", "/reembed", nil)
 }
 
 // Snapshot asks the daemon to persist its session state to disk.
@@ -509,8 +495,8 @@ func applyInPlace(snap *wire.Snapshot, d *wire.Delta) error {
 // of an earlier Sync (counted in Stats.StaleReads if the daemon were
 // ever to serve one).
 func (c *Client) Sync(ctx context.Context) (*wire.Snapshot, error) {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
 	var out *wire.Snapshot
 	err := c.retry(ctx, func() error {
 		var err error
@@ -523,7 +509,7 @@ func (c *Client) Sync(ctx context.Context) (*wire.Snapshot, error) {
 	return cloneSnap(out), nil
 }
 
-// syncOnce is one sync attempt under snapMu: delta when possible,
+// syncOnce is one sync attempt under syncMu: delta when possible,
 // full-fetch otherwise, resync-class errors degrade to full-fetch
 // immediately (they are not transient; retrying the delta would loop).
 func (c *Client) syncOnce(ctx context.Context) (*wire.Snapshot, error) {

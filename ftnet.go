@@ -265,22 +265,7 @@ func (t *RandomFaultTorus) NewSession() *Session {
 // any index is out of range: either every node is applied or none is, so
 // a malformed wire request cannot leave the session half-mutated.
 // Already-faulty nodes are ignored.
-func (s *Session) AddFaultsChecked(nodes ...int) error {
-	n := s.t.g.NumNodes()
-	for _, v := range nodes {
-		if err := checkNode(v, n); err != nil {
-			return err
-		}
-	}
-	s.delta = s.delta[:0]
-	for _, v := range nodes {
-		if _, eff := s.charger.AddNode(v); eff >= 0 {
-			s.delta = append(s.delta, eff)
-		}
-	}
-	s.ses.NoteAdded(s.delta)
-	return nil
-}
+func (s *Session) AddFaultsChecked(nodes ...int) error { return s.mutate(true, nodes, nil) }
 
 // AddFaults marks host nodes faulty. Already-faulty nodes are ignored.
 // It panics on an out-of-range index; use AddFaultsChecked when the
@@ -294,22 +279,7 @@ func (s *Session) AddFaults(nodes ...int) {
 // ClearFaultsChecked marks host nodes repaired, rejecting the whole
 // batch if any index is out of range (all-or-nothing, like
 // AddFaultsChecked). Already-healthy nodes are ignored.
-func (s *Session) ClearFaultsChecked(nodes ...int) error {
-	n := s.t.g.NumNodes()
-	for _, v := range nodes {
-		if err := checkNode(v, n); err != nil {
-			return err
-		}
-	}
-	s.delta = s.delta[:0]
-	for _, v := range nodes {
-		if _, eff := s.charger.ClearNode(v); eff >= 0 {
-			s.delta = append(s.delta, eff)
-		}
-	}
-	s.ses.NoteCleared(s.delta)
-	return nil
-}
+func (s *Session) ClearFaultsChecked(nodes ...int) error { return s.mutate(false, nodes, nil) }
 
 // ClearFaults marks host nodes repaired. Already-healthy nodes are
 // ignored. It panics on an out-of-range index; use ClearFaultsChecked
@@ -326,48 +296,48 @@ func (s *Session) ClearFaults(nodes ...int) {
 // the host (all-or-nothing, like AddFaultsChecked). Already-faulty
 // edges are ignored. Each new faulty edge is charged to its canonical
 // endpoint; the next Reembed routes around it.
-func (s *Session) AddEdgeFaultsChecked(edges ...[2]int) error {
-	if err := s.checkEdges(edges); err != nil {
-		return err
-	}
-	s.delta = s.delta[:0]
-	for _, e := range edges {
-		if _, eff := s.charger.AddEdge(e[0], e[1]); eff >= 0 {
-			s.delta = append(s.delta, eff)
-		}
-	}
-	s.ses.NoteAdded(s.delta)
-	return nil
-}
+func (s *Session) AddEdgeFaultsChecked(edges ...[2]int) error { return s.mutate(true, nil, edges) }
 
 // ClearEdgeFaultsChecked marks host edges repaired (all-or-nothing,
 // validated like AddEdgeFaultsChecked). Already-healthy edges are
 // ignored. An endpoint stays effectively faulty while other faulty
 // edges still charge it or the node itself was reported faulty.
-func (s *Session) ClearEdgeFaultsChecked(edges ...[2]int) error {
-	if err := s.checkEdges(edges); err != nil {
-		return err
-	}
-	s.delta = s.delta[:0]
-	for _, e := range edges {
-		if _, eff := s.charger.ClearEdge(e[0], e[1]); eff >= 0 {
-			s.delta = append(s.delta, eff)
+func (s *Session) ClearEdgeFaultsChecked(edges ...[2]int) error { return s.mutate(false, nil, edges) }
+
+// mutate is the one body of the checked mutators. It validates the whole
+// batch without mutating anything — every node in range; every edge's
+// endpoints in range, not a self-loop, adjacent in the host — each
+// failure a terminal CodeInvalid error. Only then does it charge every
+// node and edge (fault.Charger) and report the effective-set indices
+// that changed to the engine.
+func (s *Session) mutate(add bool, nodes []int, edges [][2]int) error {
+	n := s.t.g.NumNodes()
+	for _, v := range nodes {
+		if err := checkNode(v, n); err != nil {
+			return err
 		}
 	}
-	s.ses.NoteCleared(s.delta)
-	return nil
-}
-
-// checkEdges validates a batch of edge endpoint pairs without mutating
-// anything: every endpoint in range, no self-loops, every pair adjacent
-// in the host. Each failure is a terminal CodeInvalid error.
-func (s *Session) checkEdges(edges [][2]int) error {
-	n := s.t.g.NumNodes()
 	for _, e := range edges {
 		if err := validate.Edge("edge fault", e[0], e[1], n, s.t.g.Adjacent); err != nil {
 			return err
 		}
 	}
+	chargeNode, chargeEdge, note := (*fault.Charger).ClearNode, (*fault.Charger).ClearEdge, (*core.Session).NoteCleared
+	if add {
+		chargeNode, chargeEdge, note = (*fault.Charger).AddNode, (*fault.Charger).AddEdge, (*core.Session).NoteAdded
+	}
+	s.delta = s.delta[:0]
+	for _, v := range nodes {
+		if _, eff := chargeNode(s.charger, v); eff >= 0 {
+			s.delta = append(s.delta, eff)
+		}
+	}
+	for _, e := range edges {
+		if _, eff := chargeEdge(s.charger, e[0], e[1]); eff >= 0 {
+			s.delta = append(s.delta, eff)
+		}
+	}
+	note(s.ses, s.delta)
 	return nil
 }
 

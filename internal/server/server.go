@@ -49,10 +49,9 @@ const maxBodyBytes = 32 << 20
 // when g fell off the delta ring, telling the client to resync from the
 // full embedding.
 type Server struct {
-	cfg    Config
-	topos  map[string]*topology
-	mux    *http.ServeMux
-	snapMu sync.Mutex // serializes snapshot file writes
+	cfg   Config
+	topos map[string]*topology
+	mux   *http.ServeMux
 
 	// errs counts every error response by fterr code (the
 	// ftnetd_errors_total metric); writeErr is the single choke point.
@@ -113,9 +112,10 @@ func (s *Server) DisconnectWatchers() {
 	s.watchOnce.Do(func() { close(s.watchc) })
 }
 
-// Close stops every topology worker (flushing applied mutations) and,
-// when snapshots are configured, persists each topology's final
-// committed state. Callers should drain the HTTP server first.
+// Close stops every topology worker. Each writer applies what is still
+// queued, flushes applied mutations and, when snapshots are configured,
+// persists its topology's final state; Close returns the first write
+// error. Callers should drain the HTTP server first.
 func (s *Server) Close() error {
 	var firstErr error
 	s.closeOnce.Do(func() {
@@ -125,41 +125,12 @@ func (s *Server) Close() error {
 		}
 		for _, t := range s.topos {
 			<-t.done
-		}
-		if s.cfg.SnapshotDir == "" {
-			return
-		}
-		for _, t := range s.topos {
-			if _, _, err := s.writeTopoSnapshot(t); err != nil && firstErr == nil {
-				firstErr = err
+			if t.closeErr != nil && firstErr == nil {
+				firstErr = t.closeErr
 			}
 		}
 	})
 	return firstErr
-}
-
-// writeTopoSnapshot persists the topology's current state and returns,
-// alongside the file path, exactly the committed Snapshot that went to
-// disk (the caller must not re-load t.snap: a concurrent commit could
-// make the acknowledgement claim a newer generation than the file
-// holds). The session fault set may be slightly newer than the
-// committed snapshot — restore replays the committed part first (which
-// re-verifies against the checksum) and leaves the delta pending, so a
-// torn pair stays consistent.
-func (s *Server) writeTopoSnapshot(t *topology) (string, *Snapshot, error) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	snap := t.snap.Load()
-	session := snap.FaultNodes
-	if p := t.curFaults.Load(); p != nil {
-		session = *p
-	}
-	sessionEdges := snap.FaultEdges
-	if p := t.curEdges.Load(); p != nil {
-		sessionEdges = *p
-	}
-	path, err := writeSnapshot(s.cfg.SnapshotDir, t, snap, session, sessionEdges)
-	return path, snap, err
 }
 
 // Handler returns the daemon's HTTP handler — wrapped by the
@@ -176,10 +147,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/topologies", s.handleList)
 	s.mux.HandleFunc("GET /v1/topologies/{id}", s.handleInfo)
-	s.mux.HandleFunc("POST /v1/topologies/{id}/faults", s.mutationHandler(reqAdd))
-	s.mux.HandleFunc("DELETE /v1/topologies/{id}/faults", s.mutationHandler(reqClear))
-	s.mux.HandleFunc("POST /v1/topologies/{id}/edge-faults", s.edgeMutationHandler(reqAddEdges))
-	s.mux.HandleFunc("DELETE /v1/topologies/{id}/edge-faults", s.edgeMutationHandler(reqClearEdges))
+	s.mux.HandleFunc("POST /v1/topologies/{id}/faults", s.mutationHandler(reqAdd, false))
+	s.mux.HandleFunc("DELETE /v1/topologies/{id}/faults", s.mutationHandler(reqClear, false))
+	s.mux.HandleFunc("POST /v1/topologies/{id}/edge-faults", s.mutationHandler(reqAdd, true))
+	s.mux.HandleFunc("DELETE /v1/topologies/{id}/edge-faults", s.mutationHandler(reqClear, true))
 	s.mux.HandleFunc("POST /v1/topologies/{id}/reembed", s.handleReembed)
 	s.mux.HandleFunc("GET /v1/topologies/{id}/embedding", s.handleEmbedding)
 	s.mux.HandleFunc("GET /v1/topologies/{id}/watch", s.handleWatch)
@@ -392,83 +363,48 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // mutationHandler serves POST (report faults) and DELETE (report
-// repairs) on .../faults. Indices are validated here, at the API
-// boundary, against the immutable host size — the writer goroutine never
-// sees an out-of-range index.
-func (s *Server) mutationHandler(kind reqKind) http.HandlerFunc {
+// repairs) on .../faults, or on .../edge-faults when edges is set. The
+// route decides which list the body carries — {"nodes":[...]} or
+// {"edges":[[u,v],...]} — and that list is validated whole at the API
+// boundary against the immutable host: node range, or endpoint range,
+// self-loops and host adjacency. One bad entry rejects the request
+// before the writer sees any of it, so a partially applied batch cannot
+// exist.
+func (s *Server) mutationHandler(kind reqKind, edges bool) http.HandlerFunc {
+	what := "nodes"
+	if edges {
+		what = "edges"
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := s.topo(w, r)
 		if t == nil {
 			return
 		}
-		var req mutationRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err := dec.Decode(&req); err != nil {
+		var nodesBody mutationRequest
+		var edgesBody edgeMutationRequest
+		body := any(&nodesBody)
+		if edges {
+			body = &edgesBody
+		}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(body); err != nil {
 			s.writeErr(w, fterr.Wrapf(fterr.Invalid, "server", err, "bad request body"))
 			return
 		}
-		if len(req.Nodes) == 0 {
-			s.writeErr(w, fterr.New(fterr.Invalid, "server", "no nodes in request"))
+		mut := request{kind: kind, nodes: nodesBody.Nodes, edges: edgesBody.Edges}
+		if len(mut.nodes)+len(mut.edges) == 0 {
+			s.writeErr(w, fterr.New(fterr.Invalid, "server", "no %s in request", what))
 			return
 		}
 		n := t.host.HostNodes()
-		for _, v := range req.Nodes {
+		for _, v := range mut.nodes {
 			if v < 0 || v >= n {
 				s.writeErr(w, fterr.New(fterr.Invalid, "server", "host node %d out of range [0, %d)", v, n))
 				return
 			}
 		}
-		wait := true
-		if raw := r.URL.Query().Get("wait"); raw != "" {
-			var err error
-			if wait, err = strconv.ParseBool(raw); err != nil {
-				s.writeErr(w, fterr.New(fterr.Invalid, "server", "bad wait parameter %q (want a boolean)", raw))
-				return
-			}
-		}
-		mut := request{kind: kind, nodes: req.Nodes}
-		if wait {
-			mut.reply = make(chan result, 1)
-		}
-		if err := t.submit(mut); err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		if !wait {
-			writeJSON(w, http.StatusAccepted, acceptedResponse{
-				Topology: t.cfg.ID, Status: "accepted", Nodes: len(req.Nodes),
-			})
-			return
-		}
-		s.replyState(w, r, t, mut.reply)
-	}
-}
-
-// edgeMutationHandler serves POST (report edge faults) and DELETE
-// (report repairs) on .../edge-faults. The whole batch is validated at
-// the API boundary — endpoint range, self-loops, host adjacency — with
-// all-or-nothing semantics: one bad edge rejects the request before the
-// writer sees any of it, so a partially applied batch cannot exist.
-func (s *Server) edgeMutationHandler(kind reqKind) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := s.topo(w, r)
-		if t == nil {
-			return
-		}
-		var req edgeMutationRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err := dec.Decode(&req); err != nil {
-			s.writeErr(w, fterr.Wrapf(fterr.Invalid, "server", err, "bad request body"))
-			return
-		}
-		if len(req.Edges) == 0 {
-			s.writeErr(w, fterr.New(fterr.Invalid, "server", "no edges in request"))
-			return
-		}
-		n := t.host.HostNodes()
-		for _, e := range req.Edges {
-			// t.ses.Adjacent only reads the immutable host graph, so the
-			// check is safe off the writer goroutine.
+		for _, e := range mut.edges {
+			// t.ses.Adjacent reads only the immutable host graph, never
+			// session state, so the check is safe off the writer goroutine.
 			if err := validate.Edge("edge fault", e[0], e[1], n, t.ses.Adjacent); err != nil {
 				s.writeErr(w, err)
 				return
@@ -482,21 +418,19 @@ func (s *Server) edgeMutationHandler(kind reqKind) http.HandlerFunc {
 				return
 			}
 		}
-		mut := request{kind: kind, edges: req.Edges}
 		if wait {
-			mut.reply = make(chan result, 1)
+			if res, ok := s.call(w, r, t, mut); ok {
+				s.replyState(w, t, res)
+			}
+			return
 		}
 		if err := t.submit(mut); err != nil {
 			s.writeErr(w, err)
 			return
 		}
-		if !wait {
-			writeJSON(w, http.StatusAccepted, acceptedResponse{
-				Topology: t.cfg.ID, Status: "accepted", Edges: len(req.Edges),
-			})
-			return
-		}
-		s.replyState(w, r, t, mut.reply)
+		writeJSON(w, http.StatusAccepted, acceptedResponse{
+			Topology: t.cfg.ID, Status: "accepted", Nodes: len(mut.nodes), Edges: len(mut.edges),
+		})
 	}
 }
 
@@ -505,44 +439,53 @@ func (s *Server) handleReembed(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	mut := request{kind: reqFlush, reply: make(chan result, 1)}
-	if err := t.submit(mut); err != nil {
-		s.writeErr(w, err)
-		return
+	if res, ok := s.call(w, r, t, request{kind: reqFlush}); ok {
+		s.replyState(w, t, res)
 	}
-	s.replyState(w, r, t, mut.reply)
 }
 
-// replyState waits for the writer's outcome and renders it. A fault
-// pattern beyond the construction's tolerance is the caller's news, not
-// a server failure: 422, with the still-served last-good generation.
-func (s *Server) replyState(w http.ResponseWriter, r *http.Request, t *topology, reply chan result) {
+// call submits req to the topology's writer and waits for the reply.
+// It reports false when no reply will come — the daemon is stopping or
+// the client went away — after answering the request itself.
+func (s *Server) call(w http.ResponseWriter, r *http.Request, t *topology, req request) (result, bool) {
+	req.reply = make(chan result, 1)
+	if err := t.submit(req); err != nil {
+		s.writeErr(w, err)
+		return result{}, false
+	}
 	select {
-	case res := <-reply:
-		switch {
-		case res.err == nil:
-			writeJSON(w, http.StatusOK, stateOf(t, res.snap))
-		case errors.Is(res.err, ftnet.ErrNotTolerated):
-			// 422 carries the typed error AND the last-good committed
-			// state the daemon keeps serving: recorded reality never
-			// rolls back, the caller sees exactly what still stands.
-			snap := t.snap.Load()
-			code := fterr.CodeOf(res.err)
-			s.errs.inc(code)
-			writeJSON(w, code.HTTPStatus(), struct {
-				fterr.Wire
-				stateResponse
-			}{errBody(res.err, 0), stateOf(t, snap)})
-		case errors.Is(res.err, errShutdown):
-			s.writeErr(w, res.err)
-		default:
-			s.writeErr(w, fterr.Wrap(fterr.Internal, "server.eval", res.err))
-		}
+	case res := <-req.reply:
+		return res, true
 	case <-r.Context().Done():
 		// Client went away; the writer's buffered reply is dropped.
 		s.writeErr(w, fterr.New(fterr.Unavailable, "server", "request canceled"))
 	case <-t.stopc:
 		s.writeErr(w, errShutdown)
+	}
+	return result{}, false
+}
+
+// replyState renders the writer's outcome for a mutation or flush. A
+// fault pattern beyond the construction's tolerance is the caller's
+// news, not a server failure: 422, with the still-served last-good
+// generation.
+func (s *Server) replyState(w http.ResponseWriter, t *topology, res result) {
+	switch {
+	case res.err == nil:
+		writeJSON(w, http.StatusOK, stateOf(t, res.snap))
+	case errors.Is(res.err, ftnet.ErrNotTolerated):
+		// 422 carries the typed error AND the last-good committed
+		// state the daemon keeps serving: recorded reality never
+		// rolls back, the caller sees exactly what still stands.
+		snap := t.snap.Load()
+		code := fterr.CodeOf(res.err)
+		s.errs.inc(code)
+		writeJSON(w, code.HTTPStatus(), struct {
+			fterr.Wire
+			stateResponse
+		}{errBody(res.err, 0), stateOf(t, snap)})
+	default:
+		s.writeErr(w, fterr.Wrap(fterr.Internal, "server.eval", res.err))
 	}
 }
 
@@ -627,22 +570,27 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleSnapshot persists the topology from its writer, after every
+// request queued ahead of this one: the file includes every mutation
+// acknowledged before the snapshot was asked for.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	t := s.topo(w, r)
 	if t == nil {
 		return
 	}
-	if s.cfg.SnapshotDir == "" {
+	if t.snapDir == "" {
 		s.writeErr(w, fterr.New(fterr.Conflict, "server", "snapshots disabled: no snapshot dir configured"))
 		return
 	}
-	path, snap, err := s.writeTopoSnapshot(t)
-	if err != nil {
-		s.writeErr(w, fterr.Wrapf(fterr.Internal, "server", err, "snapshot"))
-		return
+	res, ok := s.call(w, r, t, request{kind: reqSnapshot})
+	switch {
+	case !ok:
+	case res.err != nil:
+		s.writeErr(w, fterr.Wrapf(fterr.Internal, "server", res.err, "snapshot"))
+	default:
+		writeJSON(w, http.StatusOK, struct {
+			stateResponse
+			Path string `json:"path"`
+		}{stateOf(t, res.snap), snapshotPath(t.snapDir, t.cfg.ID)})
 	}
-	writeJSON(w, http.StatusOK, struct {
-		stateResponse
-		Path string `json:"path"`
-	}{stateOf(t, snap), path})
 }

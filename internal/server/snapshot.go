@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"ftnet/internal/fterr"
@@ -77,12 +78,16 @@ func snapshotPath(dir, id string) string {
 	return filepath.Join(dir, id+".json")
 }
 
-// writeSnapshot persists a committed Snapshot atomically (temp file +
-// rename), so a crash mid-write never corrupts the previous snapshot.
-// session and sessionEdges are the full session fault sets (see
-// diskSnapshot.SessionFaults); each is recorded only when it differs
-// from its committed set.
-func writeSnapshot(dir string, t *topology, snap *Snapshot, session []int, sessionEdges [][2]int) (string, error) {
+// writeSnapshot persists the served snapshot together with the
+// session's full fault sets (see diskSnapshot.SessionFaults), each
+// recorded only when it differs from its committed set, and returns the
+// committed snapshot that went to disk. The write is atomic and durable:
+// a temp file synced before it is renamed over the old one, then a
+// synced directory, so a crash never leaves a torn file and a returned
+// write survives power loss. Writer goroutine only — it reads the
+// session.
+func (t *topology) writeSnapshot() (*Snapshot, error) {
+	snap := t.snap.Load()
 	d := diskSnapshot{
 		Version:           snapshotVersion,
 		TopologyID:        t.cfg.ID,
@@ -94,68 +99,60 @@ func writeSnapshot(dir string, t *topology, snap *Snapshot, session []int, sessi
 		Edges:             snap.FaultEdges,
 		EmbeddingChecksum: fmt.Sprintf("%016x", snap.Checksum),
 	}
-	if !intsEqual(session, snap.FaultNodes) {
+	if session := t.ses.FaultNodes(); !slices.Equal(session, snap.FaultNodes) {
 		d.SessionFaults = session
 		if d.SessionFaults == nil {
 			d.SessionFaults = []int{} // nil means "same as Faults"
 		}
 	}
-	if !edgesEqual(sessionEdges, snap.FaultEdges) {
-		d.SessionEdges = sessionEdges
+	if session := t.ses.FaultEdges(); !slices.Equal(session, snap.FaultEdges) {
+		d.SessionEdges = session
 		if d.SessionEdges == nil {
 			d.SessionEdges = [][2]int{} // nil means "same as Edges"
 		}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+	if err := os.MkdirAll(t.snapDir, 0o755); err != nil {
+		return nil, err
 	}
 	data, err := json.Marshal(&d)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	path := snapshotPath(dir, t.cfg.ID)
-	tmp, err := os.CreateTemp(dir, t.cfg.ID+".tmp-*")
+	tmp, err := os.CreateTemp(t.snapDir, t.cfg.ID+".tmp-*")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), snapshotPath(t.snapDir, t.cfg.ID))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return "", err
+		return nil, err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
+	if err := syncDir(t.snapDir); err != nil {
+		return nil, err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	return path, nil
+	return snap, nil
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// syncDir makes the directory entries of dir, such as a rename, durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return true
-}
-
-func edgesEqual(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return err
 }
 
 // loadSnapshot reads a topology's snapshot file; a missing file is not

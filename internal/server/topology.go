@@ -3,23 +3,29 @@
 // protocol (see routes in server.go).
 //
 // The ftnet.Session contract is single-writer, so each topology owns one
-// writer goroutine and a serialization queue. The queue coalesces: every
-// mutation that arrives while a Reembed is in flight is applied to the
-// session as soon as the writer frees up and covered by the *next*
+// writer goroutine and a serialization queue, and that goroutine is the
+// only code that reads or mutates session state. The queue coalesces:
+// every mutation that arrives while a Reembed is in flight is applied to
+// the session as soon as the writer frees up and covered by the *next*
 // evaluation, so a burst of k concurrent fault reports costs a small
 // constant number of Evals, not k (the acceptance contract of the race
 // test). Asynchronous mutations (?wait=0) accumulate until the batching
 // policy triggers: the accumulated footprint stops being small (>=
 // MaxBatchCols distinct host columns), a flush interval elapses, an
 // explicit POST .../reembed arrives, or a synchronous request joins the
-// batch. Readers never enter the queue: GET .../embedding is served from
+// batch. Snapshot writes ride the same queue: the writer persists the
+// session after applying every request queued ahead of the snapshot, so
+// the file includes every mutation acknowledged before it was asked
+// for. Readers never enter the queue: GET .../embedding is served from
 // an atomically swapped snapshot of the last committed embedding, so
 // reads never block on the writer.
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,17 +86,19 @@ type reqKind uint8
 const (
 	reqAdd reqKind = iota
 	reqClear
-	reqAddEdges
-	reqClearEdges
 	reqFlush
+	reqSnapshot
 )
 
-// request is one unit of writer work. reply is buffered (capacity 1) so
-// the writer never blocks on an abandoned waiter.
+// request is one unit of writer work. A mutation (reqAdd, reqClear)
+// carries node and edge faults alike: Theorem 2 charges an edge fault to
+// one endpoint, so both are the same kind of change to the session.
+// reply is buffered (capacity 1) so the writer never blocks on an
+// abandoned waiter.
 type request struct {
 	kind  reqKind
 	nodes []int
-	edges [][2]int    // for reqAddEdges/reqClearEdges
+	edges [][2]int
 	reply chan result // nil for fire-and-forget mutations
 }
 
@@ -112,20 +120,16 @@ type topology struct {
 
 	snap    atomic.Pointer[Snapshot]
 	metrics *topoMetrics
-	// curFaults is the session's full fault set — committed or not —
-	// republished by the writer after every applied batch, so snapshot
-	// writes can persist mutations whose evaluation failed (recorded
-	// reality never rolls back, and must survive a restart too).
-	curFaults atomic.Pointer[[]int]
-	// curEdges is the session's full edge-fault set, same contract.
-	curEdges atomic.Pointer[[][2]int]
+	snapDir string // snapshot directory; "" disables snapshots
 
 	// Writer-goroutine state: the batch accumulated since the last
-	// evaluation attempt.
+	// evaluation attempt, and the final snapshot write's outcome (read
+	// by Server.Close once done is closed).
 	pendingMuts  int
 	pendingNodes int
 	pendingCols  map[int]struct{}
 	waiters      []chan result
+	closeErr     error
 
 	maxBatchCols int
 	flushEvery   time.Duration
@@ -195,6 +199,7 @@ func newTopology(cfg TopologyConfig, policy Config, restore *diskSnapshot) (*top
 		stopc:        make(chan struct{}),
 		done:         make(chan struct{}),
 		metrics:      &topoMetrics{},
+		snapDir:      policy.SnapshotDir,
 		pendingCols:  make(map[int]struct{}),
 		maxBatchCols: policy.maxBatchCols(),
 		flushEvery:   policy.flushInterval(),
@@ -206,111 +211,77 @@ func newTopology(cfg TopologyConfig, policy Config, restore *diskSnapshot) (*top
 		if err := restore.check(cfg, host); err != nil {
 			return nil, err
 		}
-		if err := t.ses.AddFaultsChecked(restore.Faults...); err != nil {
-			return nil, fmt.Errorf("topology %s: restore: %w", cfg.ID, err)
-		}
-		if err := t.ses.AddEdgeFaultsChecked(restore.Edges...); err != nil {
+		if err := t.mutateSession(request{kind: reqAdd, nodes: restore.Faults, edges: restore.Edges}); err != nil {
 			return nil, fmt.Errorf("topology %s: restore: %w", cfg.ID, err)
 		}
 		gen = restore.Generation
 		t.metrics.restored.Store(1)
 	}
-	// ReembedDelta rather than Reembed: the initial commit is linked as a
-	// full resync boundary below, so the session's delta accumulator must
-	// be drained here — otherwise the cold evaluation's full-rewrite flag
+	// ReembedDelta rather than Reembed: the initial commit is a full
+	// resync boundary (no diff exists to anything older, in particular not
+	// across a restart), so the session's delta accumulator must be
+	// drained here — otherwise the cold evaluation's full-rewrite flag
 	// leaks into the FIRST real commit, turning it into a needless 410 for
 	// every client that already holds this head (clients reconnecting
 	// after a restart would resync twice).
-	emb, _, err := t.ses.ReembedDelta()
+	emb, d, err := t.ses.ReembedDelta()
 	if err != nil {
 		return nil, fmt.Errorf("topology %s: initial reembed: %w", cfg.ID, err)
 	}
-	snap := &Snapshot{
-		Generation: gen,
-		Emb:        emb,
-		FaultNodes: t.ses.FaultNodes(),
-		FaultEdges: t.ses.FaultEdges(),
-		Checksum:   MapChecksum(emb.Map),
+	snap := t.commit(gen, emb, d)
+	if restore == nil {
+		return t, nil
 	}
-	if restore != nil && snap.Checksum != restore.checksum() {
+	if snap.Checksum != restore.checksum() {
 		return nil, fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: restored embedding checksum %016x does not match snapshot %016x",
 			cfg.ID, snap.Checksum, restore.checksum())
 	}
-	// The initial commit is a resync boundary: no diff exists to anything
-	// older (in particular not across a restart).
-	t.linkDelta(nil, snap, nil)
-	t.snap.Store(snap)
-	t.metrics.reembedOK.Add(1)
-	t.metrics.faults.Store(int64(len(snap.FaultNodes)))
-	t.metrics.edgeFaults.Store(int64(len(snap.FaultEdges)))
-	t.metrics.generation.Store(gen)
-	if restore != nil {
-		if err := t.restoreUncommitted(restore); err != nil {
-			return nil, err
-		}
+	if err := t.restoreUncommitted(restore); err != nil {
+		return nil, err
 	}
-	t.publishFaults()
 	return t, nil
 }
 
-// restoreUncommitted replays the snapshot's session-level delta: the
-// mutations recorded after the last successful commit (adds beyond, and
-// clears of, the committed fault and edge-fault sets). They are applied
-// without demanding a successful evaluation — the pre-restart state may
-// well have been beyond tolerance — and left pending for the batching
-// policy, exactly as they were before the restart.
+// restoreUncommitted replays the snapshot's session-level delta — the
+// mutations recorded after the last successful commit: adds beyond, and
+// clears of, the committed fault and edge-fault sets — through apply, as
+// if the requests had just arrived. Nothing is evaluated: the
+// pre-restart state may well have been beyond tolerance, and it stays
+// pending for the batching policy, exactly as it was before the restart.
 func (t *topology) restoreUncommitted(restore *diskSnapshot) error {
-	var adds, clears []int
+	adds, clears := request{kind: reqAdd}, request{kind: reqClear}
 	if restore.SessionFaults != nil {
-		adds, clears = sortedDiff(restore.Faults, restore.SessionFaults)
+		adds.nodes, clears.nodes = sortedDiff(restore.Faults, restore.SessionFaults, cmp.Compare[int])
 	}
-	var edgeAdds, edgeClears [][2]int
 	if restore.SessionEdges != nil {
-		edgeAdds, edgeClears = edgeDiff(restore.Edges, restore.SessionEdges)
+		adds.edges, clears.edges = sortedDiff(restore.Edges, restore.SessionEdges,
+			func(a, b [2]int) int { return slices.Compare(a[:], b[:]) })
 	}
-	if len(adds)+len(clears)+len(edgeAdds)+len(edgeClears) == 0 {
-		return nil
+	for _, req := range []request{adds, clears} {
+		if len(req.nodes)+len(req.edges) == 0 {
+			continue
+		}
+		if err := t.apply(req); err != nil {
+			return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
+		}
 	}
-	if err := t.ses.AddFaultsChecked(adds...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	if err := t.ses.ClearFaultsChecked(clears...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	if err := t.ses.AddEdgeFaultsChecked(edgeAdds...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	if err := t.ses.ClearEdgeFaultsChecked(edgeClears...); err != nil {
-		return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
-	}
-	t.pendingMuts = 1
-	t.pendingNodes = len(adds) + len(clears) + len(edgeAdds) + len(edgeClears)
-	for _, v := range adds {
-		t.pendingCols[v%t.numCols] = struct{}{}
-	}
-	for _, v := range clears {
-		t.pendingCols[v%t.numCols] = struct{}{}
-	}
-	for _, e := range edgeAdds {
-		t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
-	}
-	for _, e := range edgeClears {
-		t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
-	}
-	t.metrics.pendingRequests.Store(1)
+	// However many requests built it, the restored delta is one pending
+	// mutation.
+	t.pendingMuts = min(t.pendingMuts, 1)
+	t.metrics.pendingRequests.Store(int64(t.pendingMuts))
 	return nil
 }
 
-// sortedDiff splits two increasing node lists into session-only (adds)
+// sortedDiff splits two lists sorted by compare into session-only (adds)
 // and committed-only (clears) elements.
-func sortedDiff(committed, session []int) (adds, clears []int) {
+func sortedDiff[E any](committed, session []E, compare func(a, b E) int) (adds, clears []E) {
 	i, j := 0, 0
 	for i < len(committed) || j < len(session) {
 		switch {
-		case i == len(committed) || (j < len(session) && session[j] < committed[i]):
+		case i == len(committed) || (j < len(session) && compare(session[j], committed[i]) < 0):
 			adds = append(adds, session[j])
 			j++
-		case j == len(session) || committed[i] < session[j]:
+		case j == len(session) || compare(committed[i], session[j]) < 0:
 			clears = append(clears, committed[i])
 			i++
 		default:
@@ -319,39 +290,6 @@ func sortedDiff(committed, session []int) (adds, clears []int) {
 		}
 	}
 	return adds, clears
-}
-
-// edgeDiff splits two lexicographically sorted canonical edge lists into
-// session-only (adds) and committed-only (clears) edges.
-func edgeDiff(committed, session [][2]int) (adds, clears [][2]int) {
-	less := func(a, b [2]int) bool {
-		return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
-	}
-	i, j := 0, 0
-	for i < len(committed) || j < len(session) {
-		switch {
-		case i == len(committed) || (j < len(session) && less(session[j], committed[i])):
-			adds = append(adds, session[j])
-			j++
-		case j == len(session) || less(committed[i], session[j]):
-			clears = append(clears, committed[i])
-			i++
-		default:
-			i++
-			j++
-		}
-	}
-	return adds, clears
-}
-
-// publishFaults republishes the session's full fault and edge-fault sets
-// for snapshot writers. Called by the writer goroutine (and
-// construction) only.
-func (t *topology) publishFaults() {
-	s := t.ses.FaultNodes()
-	t.curFaults.Store(&s)
-	e := t.ses.FaultEdges()
-	t.curEdges.Store(&e)
 }
 
 // submit enqueues a request unless the daemon is stopping.
@@ -380,22 +318,13 @@ func (t *topology) run() {
 			t.shutdown()
 			return
 		case req := <-t.reqs:
-			force := t.apply(req)
+			t.apply(req)
 			// Coalesce everything already queued — this is where a burst
 			// that piled up behind an in-flight eval becomes one batch.
-		drain:
-			for {
-				select {
-				case more := <-t.reqs:
-					if t.apply(more) {
-						force = true
-					}
-				default:
-					break drain
-				}
-			}
-			t.publishFaults()
-			if force || len(t.waiters) > 0 || len(t.pendingCols) >= t.maxBatchCols {
+			t.drain()
+			// A waiter (a synchronous mutation or a flush) forces the
+			// evaluation.
+			if len(t.waiters) > 0 || len(t.pendingCols) >= t.maxBatchCols {
 				t.eval()
 			}
 		case <-tick:
@@ -406,67 +335,68 @@ func (t *topology) run() {
 	}
 }
 
-// apply folds one request into the pending batch and reports whether it
-// forces an evaluation.
-func (t *topology) apply(req request) bool {
+// drain applies every request already queued, without blocking.
+func (t *topology) drain() {
+	for {
+		select {
+		case req := <-t.reqs:
+			t.apply(req)
+		default:
+			return
+		}
+	}
+}
+
+// apply folds one request into the writer's state, in queue order. A
+// mutation joins the pending batch and a flush forces the evaluation; a
+// snapshot is written at once, so it records every request queued ahead
+// of it and none behind it, and it does not force an evaluation of its
+// own. A mutation the session rejects fails only that request — the
+// handler validated every index, so this is an internal inconsistency —
+// and apply returns the error as well, for the restore replay.
+func (t *topology) apply(req request) error {
 	switch req.kind {
-	case reqFlush:
-		if req.reply != nil {
-			t.waiters = append(t.waiters, req.reply)
-		}
-		return true
+	case reqSnapshot:
+		snap, err := t.writeSnapshot()
+		req.reply <- result{snap: snap, err: err}
+		return nil
 	case reqAdd, reqClear:
-		var err error
-		if req.kind == reqAdd {
-			err = t.ses.AddFaultsChecked(req.nodes...)
-		} else {
-			err = t.ses.ClearFaultsChecked(req.nodes...)
-		}
-		if err != nil {
-			// The handler validates indices before enqueueing, so this is
-			// an internal inconsistency; fail the request, not the batch.
+		if err := t.mutateSession(req); err != nil {
 			if req.reply != nil {
 				req.reply <- result{err: err}
 			}
-			return false
+			return err
 		}
 		t.pendingMuts++
-		t.pendingNodes += len(req.nodes)
+		t.pendingNodes += len(req.nodes) + len(req.edges)
 		for _, v := range req.nodes {
 			t.pendingCols[v%t.numCols] = struct{}{}
 		}
-		t.metrics.pendingRequests.Store(int64(t.pendingMuts))
-		if req.reply != nil {
-			t.waiters = append(t.waiters, req.reply)
-		}
-	case reqAddEdges, reqClearEdges:
-		var err error
-		if req.kind == reqAddEdges {
-			err = t.ses.AddEdgeFaultsChecked(req.edges...)
-		} else {
-			err = t.ses.ClearEdgeFaultsChecked(req.edges...)
-		}
-		if err != nil {
-			// Endpoints were validated at the API boundary (see
-			// edgeMutationHandler); an error here is an internal
-			// inconsistency and fails only this request.
-			if req.reply != nil {
-				req.reply <- result{err: err}
-			}
-			return false
-		}
-		t.pendingMuts++
-		t.pendingNodes += len(req.edges)
 		for _, e := range req.edges {
 			// An edge fault only dirties its charged endpoint's column.
 			t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
 		}
 		t.metrics.pendingRequests.Store(int64(t.pendingMuts))
-		if req.reply != nil {
-			t.waiters = append(t.waiters, req.reply)
-		}
 	}
-	return false
+	if req.reply != nil {
+		t.waiters = append(t.waiters, req.reply)
+	}
+	return nil
+}
+
+// mutateSession applies a mutation's node faults, then its edge faults,
+// to the session; each list is all-or-nothing.
+func (t *topology) mutateSession(req request) error {
+	if req.kind == reqAdd {
+		if err := t.ses.AddFaultsChecked(req.nodes...); err != nil {
+			return err
+		}
+		return t.ses.AddEdgeFaultsChecked(req.edges...)
+	}
+	if err := t.ses.ClearFaultsChecked(req.nodes...); err != nil {
+		return err
+	}
+	return t.ses.ClearEdgeFaultsChecked(req.edges...)
 }
 
 // eval evaluates the accumulated batch with one Reembed and publishes
@@ -494,22 +424,7 @@ func (t *topology) eval() {
 	var res result
 	switch {
 	case err == nil:
-		prev := t.snap.Load()
-		snap := &Snapshot{
-			Generation: prev.Generation + 1,
-			Emb:        emb,
-			FaultNodes: t.ses.FaultNodes(),
-			FaultEdges: t.ses.FaultEdges(),
-			Checksum:   MapChecksum(emb.Map),
-		}
-		t.linkDelta(prev, snap, d)
-		t.snap.Store(snap)
-		t.metrics.reembedOK.Add(1)
-		t.metrics.faults.Store(int64(len(snap.FaultNodes)))
-		t.metrics.edgeFaults.Store(int64(len(snap.FaultEdges)))
-		t.metrics.generation.Store(snap.Generation)
-		t.notifyWatchers()
-		res = result{snap: snap}
+		res = result{snap: t.commit(t.snap.Load().Generation+1, emb, d)}
 	case errors.Is(err, ftnet.ErrNotTolerated):
 		t.metrics.reembedNotTol.Add(1)
 		res = result{err: err}
@@ -522,22 +437,41 @@ func (t *topology) eval() {
 	}
 }
 
+// commit publishes emb, just evaluated against the session's fault sets,
+// as the served snapshot of generation gen: it links the snapshot's
+// delta record (a full resync boundary when no snapshot precedes it),
+// swaps it in, updates the gauges and signals the watchers. Called by
+// the writer, and once by construction.
+func (t *topology) commit(gen int64, emb *ftnet.Embedding, d *ftnet.EmbeddingDelta) *Snapshot {
+	snap := &Snapshot{
+		Generation: gen,
+		Emb:        emb,
+		FaultNodes: t.ses.FaultNodes(),
+		FaultEdges: t.ses.FaultEdges(),
+		Checksum:   MapChecksum(emb.Map),
+	}
+	t.linkDelta(t.snap.Load(), snap, d)
+	t.snap.Store(snap)
+	t.metrics.reembedOK.Add(1)
+	t.metrics.faults.Store(int64(len(snap.FaultNodes)))
+	t.metrics.edgeFaults.Store(int64(len(snap.FaultEdges)))
+	t.metrics.generation.Store(gen)
+	t.notifyWatchers()
+	return snap
+}
+
 // shutdown applies every request still queued (an asynchronous mutation
 // was already answered 202 Accepted, so dropping it would break that
-// promise) and flushes with a final eval, so a snapshot written at exit
-// reflects everything the daemon accepted. Remaining waiters get the
-// flush outcome; submit stops accepting once stopc is closed.
+// promise), flushes with a final eval and, when snapshots are
+// configured, writes the final snapshot, so the file reflects everything
+// the daemon accepted. Remaining waiters get the flush outcome; submit
+// stops accepting once stopc is closed.
 func (t *topology) shutdown() {
-	for {
-		select {
-		case req := <-t.reqs:
-			t.apply(req)
-		default:
-			t.publishFaults()
-			if t.pendingMuts > 0 || len(t.waiters) > 0 {
-				t.eval()
-			}
-			return
-		}
+	t.drain()
+	if t.pendingMuts > 0 || len(t.waiters) > 0 {
+		t.eval()
+	}
+	if t.snapDir != "" {
+		_, t.closeErr = t.writeSnapshot()
 	}
 }

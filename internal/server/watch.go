@@ -123,7 +123,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// when the ring cannot bridge the gap. Returns the new last
 	// generation and whether the stream is still writable.
 	catchUp := func(snap *Snapshot, last int64) (int64, bool) {
-		recs := make([]*deltaRec, 0, snap.Generation-last)
+		// The chain never holds more than DeltaRing records, however far
+		// behind the subscriber is.
+		recs := make([]*deltaRec, 0, min(snap.Generation-last, int64(t.deltaRing)))
 		gapped := false
 		for rec := snap.delta; ; {
 			if rec == nil {

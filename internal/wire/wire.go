@@ -320,20 +320,32 @@ func (r *reader) remaining() int { return len(r.b) - r.pos }
 
 func (r *reader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, corrupt("truncated %s", what)
+	if err := r.advance(n, what); err != nil {
+		return 0, err
 	}
-	r.pos += n
 	return v, nil
 }
 
 func (r *reader) varint(what string) (int64, error) {
 	v, n := binary.Varint(r.b[r.pos:])
+	if err := r.advance(n, what); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// advance consumes an n-byte varint. A multi-byte varint whose last
+// byte is zero is non-minimal — the encoder would have written it
+// shorter — so accepting it would let two payloads decode to one value.
+func (r *reader) advance(n int, what string) error {
 	if n <= 0 {
-		return 0, corrupt("truncated %s", what)
+		return corrupt("truncated %s", what)
+	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		return corrupt("non-minimal varint in %s", what)
 	}
 	r.pos += n
-	return v, nil
+	return nil
 }
 
 func (r *reader) uint64(what string) (uint64, error) {
