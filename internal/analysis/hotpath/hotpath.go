@@ -2,7 +2,7 @@
 // allocation-free contract statically. Functions annotated with a
 // "//ftnet:hotpath" doc-comment line (colEval, verifyColumn, the
 // Session delta path, fault.Set's record/skip samplers, the wire
-// appenders) run millions of times per
+// appenders and map checksum) run millions of times per
 // experiment; one allocation snuck into them turns a flat profile into
 // a GC treadmill, and alloc benchmarks only catch it on the benchmarked
 // configuration. Inside an annotated function the analyzer forbids:

@@ -4,8 +4,8 @@ import "testing"
 
 // TestHotPathAllocs is the runtime counterpart of the hotpath analyzer
 // (internal/analysis/hotpath) for the //ftnet:hotpath-annotated wire
-// appenders: with a pre-sized destination buffer the encode inner
-// loops must run allocation-free.
+// functions: with a pre-sized destination buffer the encode inner
+// loops must run allocation-free, and so must Checksum.
 func TestHotPathAllocs(t *testing.T) {
 	faults := []int{1, 5, 9, 42, 100}
 	edges := [][2]int{{0, 1}, {0, 9}, {3, 4}, {3, 7}}
@@ -31,4 +31,8 @@ func TestHotPathAllocs(t *testing.T) {
 	check("appendFaults", func(b []byte) ([]byte, error) { return appendFaults(b, faults) })
 	check("appendEdges", func(b []byte) ([]byte, error) { return appendEdges(b, edges) })
 	check("appendVals", func(b []byte) ([]byte, error) { return appendVals(b, vals) })
+
+	if a := testing.AllocsPerRun(100, func() { _ = Checksum(vals) }); a > 0 {
+		t.Errorf("Checksum: %v allocs/op, want 0", a)
+	}
 }

@@ -32,7 +32,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"ftnet/internal/fterr"
 )
@@ -132,17 +131,40 @@ func numCols(side, dims int) int {
 	return n
 }
 
-// Checksum hashes an embedding map: FNV-1a over the little-endian
-// 64-bit entries, identical to the checksum field of the JSON wire
-// (server.MapChecksum delegates here).
+// FNV-1a (64-bit) parameters, and prime^7 mod 2^64, which folds the six
+// zero high bytes of an entry below 2^16: xoring in a zero byte is a
+// no-op, so those bytes are six plain multiplies by the prime, and the
+// second byte's own multiply joins them as one multiply by prime^7.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	mask64    = 1<<64 - 1
+	fnvPrime2 = (fnvPrime * fnvPrime) & mask64
+	fnvPrime7 = (fnvPrime2 * fnvPrime2 * fnvPrime2 * fnvPrime) & mask64
+)
+
+// Checksum hashes an embedding map: FNV-1a over each entry's 8
+// little-endian bytes, in map (row-major) order — identical to the
+// checksum field of the JSON wire (server.MapChecksum delegates here).
+// An entry below 2^16 folds its zero high bytes into one multiply, so
+// it costs 2 multiplies, not 8; any other entry hashes all 8 bytes.
+// FuzzChecksum pins the result to hash/fnv.
+//
+//ftnet:hotpath
 func Checksum(m []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset)
 	for _, v := range m {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		u := uint64(v)
+		if u < 1<<16 {
+			h = (h ^ u&0xff) * fnvPrime
+			h = (h ^ u>>8) * fnvPrime7
+			continue
+		}
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ u>>i&0xff) * fnvPrime
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // ---------------------------------------------------------------------------
@@ -428,6 +450,9 @@ func (r *reader) faults() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
+		if gap > uint64(maxValue) {
+			return nil, corrupt("fault gap %d out of range", gap)
+		}
 		v := int64(prev) + 1 + int64(gap)
 		if v < 0 || v >= maxValue {
 			return nil, corrupt("fault index %d out of range", v)
@@ -618,6 +643,9 @@ func DecodeDelta(data []byte) (*Delta, error) {
 		gap, err := r.uvarint("column index")
 		if err != nil {
 			return nil, err
+		}
+		if gap > uint64(maxValue) {
+			return nil, corrupt("column gap %d out of range", gap)
 		}
 		col := int64(prev) + 1 + int64(gap)
 		if col < 0 || col >= int64(nc) {
