@@ -397,7 +397,7 @@ func (s *Session) Reembed() (*Embedding, error) {
 	if err != nil {
 		return nil, classify(err)
 	}
-	// The result aliases the session's scratch; hand out a stable copy.
+	// The result aliases the core.Session; hand out a stable copy.
 	inner := &embed.Embedding{
 		Guest: res.Embedding.Guest,
 		Map:   append([]int(nil), res.Embedding.Map...),

@@ -56,11 +56,11 @@ func TestHotPathAllocs(t *testing.T) {
 	n := g.P.N()
 	dst := make([]int32, n)
 	dev := make([]bool, g.NumCols)
-	if err := g.transferFast(bs, tpl.defaultRows, sc, 0, 1, sc.rowmap[0], dst, dev); err != nil {
+	if err := g.transferFast(bs, tpl.defaultRows, sc, 0, 1, ses.rowmap[0], dst, dev); err != nil {
 		t.Fatalf("transferFast: %v", err)
 	}
 	if a := testing.AllocsPerRun(50, func() {
-		if err := g.transferFast(bs, tpl.defaultRows, sc, 0, 1, sc.rowmap[0], dst, dev); err != nil {
+		if err := g.transferFast(bs, tpl.defaultRows, sc, 0, 1, ses.rowmap[0], dst, dev); err != nil {
 			t.Fatalf("transferFast: %v", err)
 		}
 	}); a > 0 {
@@ -69,7 +69,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	skip := func(zn int) bool { return false }
 	if a := testing.AllocsPerRun(50, func() {
-		if err := g.verifyColumn(faults, sc, 0, true, skip); err != nil {
+		if err := ses.verifyColumn(faults, 0, true, skip); err != nil {
 			t.Fatalf("verifyColumn: %v", err)
 		}
 	}); a > 0 {
@@ -81,12 +81,12 @@ func TestHotPathAllocs(t *testing.T) {
 	cols := append([]int32(nil), ses.recomp...)
 	slices.Sort(cols)
 	if a := testing.AllocsPerRun(20, func() {
-		writeColumns(sc.emb.Map, g.NumCols, n, cols, sc.rowmap)
+		writeColumns(ses.emb.Map, g.NumCols, n, cols, ses.rowmap)
 	}); a > 0 {
 		t.Errorf("writeColumns: %v allocs/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() {
-		if j, z := firstUnsynced(sc.emb.Map, g.NumCols, n, cols, sc.rowmap); z >= 0 {
+		if j, z := firstUnsynced(ses.emb.Map, g.NumCols, n, cols, ses.rowmap); z >= 0 {
 			t.Fatalf("firstUnsynced: guest node (%d,%d) out of sync", j, z)
 		}
 	}); a > 0 {

@@ -42,8 +42,8 @@ func TestEngineFaultFreeEvalIsFree(t *testing.T) {
 		t.Fatalf("fault-free eval after Reset: %d changed, %d re-derived, %d verified; want 0",
 			len(ses.changed), len(ses.recomp), len(ses.verify))
 	}
-	if res.Bands.DirtyCount() != 0 || len(sc.prevDirty) != 0 {
-		t.Fatalf("fault-free eval left %d dirty columns, %d to restore", res.Bands.DirtyCount(), len(sc.prevDirty))
+	if res.Bands.DirtyCount() != 0 || len(ses.prevDirty) != 0 {
+		t.Fatalf("fault-free eval left %d dirty columns, %d to restore", res.Bands.DirtyCount(), len(ses.prevDirty))
 	}
 	if _, full := ses.DrainDelta(); !full {
 		t.Fatal("the first eval after a Reset must drain a full delta")
@@ -128,13 +128,59 @@ func TestEngineRowStampGenerationWraps(t *testing.T) {
 	if len(ses.verify) == 0 {
 		t.Fatal("the warm eval verified no column")
 	}
-	sc.colGen = -1
+	ses.colGen = -1
 	// Another slab: its deviating columns unmask rows that no column
 	// verified so far holds.
 	addNoted(g, ses, faults, 60, 130)
 	evalSessionBoth(t, g, ses, faults, "after the wrap")
 	if len(ses.verify) == 0 {
 		t.Fatal("the eval after the wrap verified no column")
+	}
+}
+
+// TestEngineDenseCallLeavesSessionAlone: a dense extraction on a
+// session's scratch neither rewrites the map of the session's last
+// Result nor costs the session its commit. The session's next warm step
+// is bit-identical to the dense oracle and re-derives exactly the columns
+// an undisturbed session re-derives.
+func TestEngineDenseCallLeavesSessionAlone(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	first, second := g.NodeIndex(300, 250), g.NodeIndex(60, 130)
+	warm := func(sc *Scratch) (*Session, *fault.Set, *Result) {
+		ses := g.NewSession(sc, ExtractOptions{})
+		faults := fault.NewSet(g.NumNodes())
+		faults.Add(first)
+		res, err := ses.Eval(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ses, faults, res
+	}
+
+	sc := NewScratch(1)
+	ses, faults, res := warm(sc)
+	kept := slices.Clone(res.Embedding.Map)
+	faults.Add(second)
+	if _, err := g.ContainTorus(faults, ExtractOptions{Scratch: sc, Dense: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Embedding.Map, kept) {
+		t.Error("a dense call on the session's scratch rewrote the map of the session's Result")
+	}
+	ses.NoteAdded([]int{second})
+	evalSessionBoth(t, g, ses, faults, "warm step after a dense call")
+
+	ref, refFaults, _ := warm(NewScratch(1))
+	refFaults.Add(second)
+	ref.NoteAdded([]int{second})
+	if _, err := ref.Eval(refFaults); err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.recomp) == 0 {
+		t.Fatal("the undisturbed step re-derived no column")
+	}
+	if !slices.Equal(ses.recomp, ref.recomp) {
+		t.Errorf("the step after a dense call re-derived %d columns, an undisturbed session %d", len(ses.recomp), len(ref.recomp))
 	}
 }
 
@@ -153,7 +199,7 @@ func TestEngineSyncCheckFires(t *testing.T) {
 	}
 	z := -1
 	for _, z32 := range ses.recomp {
-		if sc.devCols[z32] {
+		if ses.devCols[z32] {
 			z = int(z32)
 			break
 		}
@@ -162,7 +208,7 @@ func TestEngineSyncCheckFires(t *testing.T) {
 		t.Fatal("the fault left no deviating column")
 	}
 	j := g.P.N() / 2
-	sc.emb.Map[j*g.NumCols+z] = int(sc.rowmap[z][(j+1)%g.P.N()])*g.NumCols + z
+	ses.emb.Map[j*g.NumCols+z] = int(ses.rowmap[z][(j+1)%g.P.N()])*g.NumCols + z
 	ses.NoteAdded([]int{g.NodeIndex(0, z)})
 	_, err := ses.Eval(faults)
 	if len(ses.recomp) != 0 || !slices.Contains(ses.verify, int32(z)) {

@@ -50,17 +50,21 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 		return nil, fterr.New(fterr.Internal, "core", "band family has %d bands, want %d", bs.K(), p.K())
 	}
 
+	sc := opts.Scratch
+	if sc == nil {
+		sc = NewScratch(0)
+	}
 	// Unmasked rows per column, in cyclic order anchored above band 0.
 	// With a scratch, the per-column row slices live in one flat backing
 	// array reused across trials.
-	rowmap, rowflat := opts.Scratch.rowBuffers(numCols, n)
+	rowmap, rowflat := sc.rowBuffers(numCols, n)
 	rowmap[0] = bs.UnmaskedRows(0, rowflat[:0:n])
 	if len(rowmap[0]) != n {
 		return nil, fterr.New(fterr.Internal, "core", "column 0 has %d unmasked rows, want %d", len(rowmap[0]), n)
 	}
 
 	// BFS over the column torus.
-	queue := append(opts.Scratch.queueBuf(numCols), 0)
+	queue := append(sc.queueBuf(numCols), 0)
 	for head := 0; head < len(queue); head++ {
 		z := queue[head]
 		for _, zn32 := range g.columnNeighbors(z) {
@@ -81,7 +85,7 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 	}
 
 	if opts.CheckConsistency {
-		dst := opts.Scratch.dstBuf(n)
+		dst := sc.dstBuf(n)
 		for z := 0; z < numCols; z++ {
 			nbrs := g.columnNeighbors(z)
 			for dim := range g.ColShape {
@@ -99,11 +103,7 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 		}
 	}
 
-	guest, err := opts.Scratch.guestTorus(p.D, n)
-	if err != nil {
-		return nil, err
-	}
-	e := opts.Scratch.embedding(guest)
+	e := sc.embedding(g.guest)
 	for z := 0; z < numCols; z++ {
 		rows := rowmap[z]
 		for i := 0; i < n; i++ {
@@ -193,9 +193,11 @@ type Result struct {
 // construction tolerates (a survival failure); any other error is a bug.
 // With opts.Scratch set, the trial is Reset + Eval on the delta engine
 // the scratch keeps for g: cost proportional to the fault footprint, not
-// the host size, and the Result aliases the scratch (see Scratch).
-// opts.Dense, opts.CheckConsistency or a nil Scratch select the dense
-// whole-host pipeline instead.
+// the host size, and the Result aliases that session until the next such
+// trial on the scratch. opts.Dense, opts.CheckConsistency or a nil
+// Scratch select the dense whole-host pipeline instead; its Result
+// aliases the scratch until the next dense call on it (see Scratch), and
+// without a scratch it allocates fresh buffers.
 func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, error) {
 	if sc := opts.Scratch; sc != nil && !opts.Dense && !opts.CheckConsistency {
 		ses := sc.sessionFor(g)
@@ -206,8 +208,12 @@ func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, e
 }
 
 // containDense is the dense pipeline — placement, extraction and
-// verification, each O(N) — reusing opts.Scratch's buffers if set.
+// verification, each O(N) — on opts.Scratch's buffers, or on a fresh
+// scratch's when none is set.
 func (g *Graph) containDense(faults *fault.Set, opts ExtractOptions) (*Result, error) {
+	if opts.Scratch == nil {
+		opts.Scratch = NewScratch(0)
+	}
 	bs, rep, err := g.placeBands(faults, opts.Scratch)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"ftnet/internal/grid"
+	"ftnet/internal/torus"
 )
 
 // Graph is the host network B^d_n. Nodes are pairs (i, z) with i in [m]
@@ -27,8 +28,9 @@ type Graph struct {
 	P           Params
 	ColShape    grid.Shape // (d-1)-dimensional column space, sides n
 	NumCols     int
-	cornerShape grid.Shape // (d-1)-dimensional tile-corner lattice, sides ColTiles
-	tileShape   grid.Shape // TileShape, cached for the allocation-free delta engine
+	cornerShape grid.Shape   // (d-1)-dimensional tile-corner lattice, sides ColTiles
+	tileShape   grid.Shape   // TileShape, cached for the allocation-free delta engine
+	guest       *torus.Graph // the guest torus (C_n)^d every embedding of this host maps
 
 	DisableVJump bool
 	DisableDJump bool
@@ -43,17 +45,22 @@ type Graph struct {
 	tpl      *template // all-defaults template: commit zero of every Session
 }
 
-// NewGraph builds the host description. Adjacency is computed on the
-// fly; the lookup tables the pipelines read (column adjacency, tile
-// deltas, the template) are built lazily on first use.
+// NewGraph builds the host description and its guest torus. Adjacency
+// is computed on the fly; the lookup tables the pipelines read (column
+// adjacency, tile deltas, the template) are built lazily on first use.
 func NewGraph(p Params) (*Graph, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	guest, err := torus.NewUniform(torus.TorusKind, p.D, p.N())
+	if err != nil {
 		return nil, err
 	}
 	cs := grid.Uniform(p.D-1, p.N())
 	g := &Graph{
 		P: p, ColShape: cs, NumCols: cs.Size(),
 		cornerShape: grid.Uniform(p.D-1, p.ColTiles()),
+		guest:       guest,
 	}
 	g.tileShape = g.TileShape()
 	return g, nil

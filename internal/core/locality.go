@@ -36,7 +36,6 @@ import (
 	"ftnet/internal/fault"
 	"ftnet/internal/fterr"
 	"ftnet/internal/grid"
-	"ftnet/internal/torus"
 )
 
 // template is the lazily built all-defaults state of a Graph, shared
@@ -121,12 +120,7 @@ func (g *Graph) buildTemplate() *template {
 	// Verify the default embedding once, from first principles, against
 	// the fault-free host. Every Eval reuses this certificate for the
 	// columns its faults do not touch.
-	guest, err := torus.NewUniform(torus.TorusKind, p.D, n)
-	if err != nil {
-		tpl.err = err
-		return tpl
-	}
-	e := embed.New(guest)
+	e := embed.New(g.guest)
 	for i := 0; i < n; i++ {
 		base := i * g.NumCols
 		host := int(tpl.defaultRows[i]) * g.NumCols
@@ -265,23 +259,24 @@ func int32Equal(a, b []int32) bool {
 // dimension-0 edge realization, and the cross-column edges to all 2(d-1)
 // neighbor columns except those for which skipPair reports the pair is
 // (or will be) checked from the other side. It reads rows through
-// sc.rowmap instead of dividing e.Map entries, which keeps the hot loops
+// s.rowmap instead of dividing e.Map entries, which keeps the hot loops
 // division-free; verifyIncremental then pins the map to the verified
 // vectors in one row-major sweep (firstUnsynced). hasFaults (from
 // verifyFaultPass) gates the per-row fault check.
 //
 //ftnet:hotpath
-func (g *Graph) verifyColumn(faults *fault.Set, sc *Scratch, z int, hasFaults bool, skipPair func(zn int) bool) error {
+func (s *Session) verifyColumn(faults *fault.Set, z int, hasFaults bool, skipPair func(zn int) bool) error {
+	g := s.g
 	p := g.P
 	n := p.N()
 	numCols := g.NumCols
 	m := p.M()
 	w := p.W
-	rows := sc.rowmap[z]
+	rows := s.rowmap[z]
 	if len(rows) != n {
 		return fterr.New(fterr.Internal, "core", "column %d row vector has %d entries, want %d", z, len(rows), n)
 	}
-	colSeen, gen := sc.colSeenBuf(m)
+	colSeen, gen := s.colSeen, bumpGen(s.colSeen, &s.colGen)
 	// One fused pass: membership, injectivity, fault avoidance, and the
 	// dimension-0 guest edge to the next row (cyclically) — a torus step
 	// or a vertical jump, the same-column conditions of Graph.Adjacent,
@@ -325,7 +320,7 @@ func (g *Graph) verifyColumn(faults *fault.Set, sc *Scratch, z int, hasFaults bo
 		if !g.columnsAdjacent(z, zn) {
 			return fterr.New(fterr.Internal, "core", "columns %d and %d are not adjacent", z, zn)
 		}
-		nrows := sc.rowmap[zn]
+		nrows := s.rowmap[zn]
 		if len(nrows) != n {
 			return fterr.New(fterr.Internal, "core", "column %d row vector has %d entries, want %d", zn, len(nrows), n)
 		}
@@ -399,14 +394,15 @@ func firstUnsynced(mp []int, numCols, n int, cols []int32, rowmap [][]int32) (j,
 // verifyFaultPass makes verifyIncremental's single pass over the fault
 // set: every fault in a non-deviating column must be masked under the
 // default family (such a column's image is exactly the default rows), and every
-// deviating column holding a fault is marked in the returned
-// generation-counted table so verifyColumn checks it row by row — and
-// fault-free columns skip that check entirely.
+// deviating column holding a fault is stamped with the live generation
+// in s.faultCol so verifyColumn checks it row by row — and fault-free
+// columns skip that check entirely.
 //
 //ftnet:hotpath
-func (g *Graph) verifyFaultPass(faults *fault.Set, tpl *template, sc *Scratch, dev []bool) ([]int32, int32, error) {
-	numCols := g.NumCols
-	faultCol, gen := sc.faultColBuf(numCols)
+func (s *Session) verifyFaultPass(faults *fault.Set, tpl *template) error {
+	numCols := s.g.NumCols
+	faultCol, dev := s.faultCol, s.devCols
+	gen := bumpGen(faultCol, &s.faultGen)
 	var outErr error
 	//lint:allow hotpath the ForEach visitor is consumed inside the bitset walk and never escapes; one stack closure per pass
 	faults.ForEach(func(idx int) {
@@ -422,5 +418,5 @@ func (g *Graph) verifyFaultPass(faults *fault.Set, tpl *template, sc *Scratch, d
 			outErr = fterr.New(fterr.Internal, "embed", "faulty host node %d lies in the default image of clean column %d", idx, z)
 		}
 	})
-	return faultCol, gen, outErr
+	return outErr
 }

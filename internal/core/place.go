@@ -68,11 +68,11 @@ type faultBox struct {
 // passes bands.Set.Validate and masks every fault; if the fault pattern is
 // too dense or too clustered it returns an *UnhealthyError instead.
 func (g *Graph) PlaceBands(faults *fault.Set) (*bands.Set, *PlaceReport, error) {
-	return g.placeBands(faults, nil)
+	return g.placeBands(faults, NewScratch(0))
 }
 
 // placeBands is the dense placement: buildBoxes, then the whole-host
-// interpolation, validated in full. sc (possibly nil) supplies buffers.
+// interpolation, validated in full. sc supplies buffers.
 func (g *Graph) placeBands(faults *fault.Set, sc *Scratch) (*bands.Set, *PlaceReport, error) {
 	boxes, rep, err := g.buildBoxes(faults, sc)
 	if err != nil {
@@ -164,7 +164,7 @@ func (g *Graph) faultyTiles(faults *fault.Set, sc *Scratch) []int {
 	tileShape := g.TileShape()
 	colTileShape := grid.Shape(tileShape[1:])
 	seen := sc.tileSeenBuf(tileShape.Size())
-	out := sc.tileListBuf()
+	out := sc.tileList[:0]
 	coord := make([]int, g.P.D-1)
 	tcoord := make([]int, g.P.D-1)
 	faults.ForEach(func(idx int) {
@@ -183,9 +183,7 @@ func (g *Graph) faultyTiles(faults *fault.Set, sc *Scratch) []int {
 	for _, flat := range out {
 		seen[flat] = false
 	}
-	if sc != nil {
-		sc.tileList = out
-	}
+	sc.tileList = out
 	sort.Ints(out)
 	return out
 }
@@ -497,11 +495,7 @@ func (g *Graph) padBox(b *faultBox, sc *Scratch) (int, error) {
 		}
 	}
 	added := 0
-	var all []int
-	if sc != nil {
-		all = sc.segMerge[:0]
-	}
-	all = append(all, b.segs...) // b.segs is sorted (pigeonholeSegments)
+	all := append(sc.segMerge[:0], b.segs...) // b.segs is sorted (pigeonholeSegments)
 	for rs := 0; rs < slabs; rs++ {
 		need := per - counts[rs]
 		pos := rs * t
@@ -528,9 +522,7 @@ func (g *Graph) padBox(b *faultBox, sc *Scratch) (int, error) {
 		}
 	}
 	b.segs = append(b.segs[:0], all...)
-	if sc != nil {
-		sc.segMerge = all
-	}
+	sc.segMerge = all
 	b.perSlab = make([][]int, slabs)
 	for _, s := range b.segs {
 		rs := s / t
@@ -582,7 +574,7 @@ func (g *Graph) buildPinned(boxes []*faultBox, sc *Scratch, cornerShape grid.Sha
 				}
 				key := slab*numCorners + cornerShape.Index(cornerCoord)
 				if pinned[key] != nil {
-					sc.setPinnedKeys(keys)
+					sc.pinnedKeys = keys
 					return nil, unhealthy("two fault boxes pin the same tile corner (separation failed)")
 				}
 				pinned[key] = locals
@@ -590,7 +582,7 @@ func (g *Graph) buildPinned(boxes []*faultBox, sc *Scratch, cornerShape grid.Sha
 			}
 		}
 	}
-	sc.setPinnedKeys(keys)
+	sc.pinnedKeys = keys
 	return pinned, nil
 }
 
@@ -689,9 +681,9 @@ func (e *colEval) evalSlab(bs *bands.Set, slab, z int) {
 // interpolate builds the full band family densely: pinned constants over
 // box footprints, defaults elsewhere, multilinear blending in between
 // (Lemmas 9-11), rounded with the monotone half-up rule, evaluated for
-// every (slab, column) of the host. A non-nil sc with sc.Workers > 0
-// bounds the column-sharding fan-out. The footprint-local alternative is
-// the delta engine's interpolateDelta (session.go).
+// every (slab, column) of the host. sc.Workers > 0 bounds the
+// column-sharding fan-out. The footprint-local alternative is the delta
+// engine's interpolateDelta (session.go).
 func (g *Graph) interpolate(boxes []*faultBox, sc *Scratch) (*bands.Set, error) {
 	p := g.P
 	numSlabs := p.NumSlabs()
@@ -708,7 +700,7 @@ func (g *Graph) interpolate(boxes []*faultBox, sc *Scratch) (*bands.Set, error) 
 	// Each column writes disjoint band entries; results are deterministic
 	// because every value is a pure function of (band, column).
 	workers := runtime.GOMAXPROCS(0)
-	if sc != nil && sc.Workers > 0 {
+	if sc.Workers > 0 {
 		workers = sc.Workers
 	}
 	if workers > g.NumCols {

@@ -136,7 +136,7 @@ func TestPigeonholeSegmentsCoverAndSpacing(t *testing.T) {
 			box.faultRows = append(box.faultRows, r)
 		}
 		sortInts(box.faultRows)
-		if err := g.pigeonholeSegments(box, nil); err != nil {
+		if err := g.pigeonholeSegments(box, NewScratch(1)); err != nil {
 			// The pigeonhole can legitimately fail for adversarial dense
 			// rows; the property below only applies to successes.
 			return strings.Contains(err.Error(), "unhealthy")
@@ -180,10 +180,10 @@ func TestPadBoxFillsEverySlab(t *testing.T) {
 	w := g.P.W
 	box := &faultBox{lo: []int{0, 0}, ext: []int{3, 1}}
 	box.faultRows = []int{5, 40, 90} // a few sparse faults
-	if err := g.pigeonholeSegments(box, nil); err != nil {
+	if err := g.pigeonholeSegments(box, NewScratch(1)); err != nil {
 		t.Fatal(err)
 	}
-	added, err := g.padBox(box, nil)
+	added, err := g.padBox(box, NewScratch(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPadBoxOverfullSlabUnhealthy(t *testing.T) {
 	for i := 0; i <= per; i++ {
 		box.segs = append(box.segs, i*(w+1))
 	}
-	if _, err := g.padBox(box, nil); err == nil {
+	if _, err := g.padBox(box, NewScratch(1)); err == nil {
 		t.Error("overfull slab not rejected")
 	}
 }

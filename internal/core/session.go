@@ -67,6 +67,7 @@ import (
 	"slices"
 
 	"ftnet/internal/bands"
+	"ftnet/internal/embed"
 	"ftnet/internal/fault"
 	"ftnet/internal/fterr"
 	"ftnet/internal/grid"
@@ -81,14 +82,15 @@ const (
 	swAssigned               // vector re-derived this Eval
 )
 
-// Session is the bidirectional delta-evaluation engine. It owns two
-// copy-on-write band families (successive Evals alternate between them
-// so the previous state's values survive for diffing) and the
-// bookkeeping of which columns each Eval actually recomputed. A Session
-// wraps one Scratch and, like it, must never be shared by concurrent
-// trials; it stays valid across trials (call Reset at each trial start).
-// Several Sessions may take turns on one Scratch: one that finds the
-// scratch holding another's commit starts again from commit zero.
+// Session is the bidirectional delta-evaluation engine. It owns its
+// committed state — two copy-on-write band families (successive Evals
+// alternate between them so the previous state's values survive for
+// diffing), the row vectors, deviation flags and embedding they give —
+// and the bookkeeping of which columns each Eval actually recomputed. It
+// borrows only its Scratch's per-call buffers, for the length of one
+// Eval, so other calls on that Scratch leave the commit alone. Like a
+// Scratch, a Session must never be shared by concurrent trials; it stays
+// valid across trials (call Reset at each trial start).
 type Session struct {
 	g    *Graph
 	sc   *Scratch
@@ -97,6 +99,18 @@ type Session struct {
 	bsA, bsB *bands.Set
 	cur      *bands.Set // committed family: the template, or bsA/bsB
 	warm     bool       // cur is committed; false after Reset
+
+	// The committed map, filled from the template by the first begin:
+	// rowmap points every column at its row vector (the template's
+	// default rows, or the column's slot in rowflat), devCols flags the
+	// vectors that deviate from the default rows, emb holds the map they
+	// give, and prevDirty lists every column a commit since the last
+	// begin may have left deviating (begin restores exactly those).
+	rowmap    [][]int32
+	rowflat   []int32
+	devCols   []bool
+	emb       *embed.Embedding
+	prevDirty []int32
 
 	churnCols []int32 // columns whose fault membership changed since the last successful Eval
 
@@ -118,7 +132,7 @@ type Session struct {
 	matchedB  []bool
 
 	mark    []int32 // per-column generation stamps (diff and verify-set dedup)
-	gen     int32   // live stamp generation (nextGen)
+	gen     int32   // live stamp generation (bumpGen)
 	state   []uint8
 	changed []int32
 	queue   []int
@@ -127,11 +141,17 @@ type Session struct {
 	written []int32 // sorted recomp columns whose map entries this Eval rewrote
 	pending []int32
 	verify  []int32
+
+	cleanVec []int32 // island-probe vector (extractIncremental)
+	colSeen  []int32 // per-row stamps of the column verifyColumn checks
+	colGen   int32
+	faultCol []int32 // per-column stamps of columns holding a fault (verifyFaultPass)
+	faultGen int32
 }
 
-// NewSession wraps sc for delta evaluation on g. opts.Scratch is forced
-// to sc; opts.Dense degrades every Eval to the independent dense
-// pipeline (the ablation mode).
+// NewSession wraps sc, which must not be nil, for delta evaluation on g.
+// opts.Scratch is forced to sc; opts.Dense degrades every Eval to the
+// independent dense pipeline (the ablation mode).
 func (g *Graph) NewSession(sc *Scratch, opts ExtractOptions) *Session {
 	opts.Scratch = sc
 	return &Session{g: g, sc: sc, opts: opts}
@@ -183,7 +203,7 @@ func (s *Session) NoteCleared(cleared []int) {
 //ftnet:hotpath
 func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	g, sc := s.g, s.sc
-	if s.opts.Dense || sc == nil {
+	if s.opts.Dense {
 		s.deltaFull = true
 		return g.containDense(faults, s.opts)
 	}
@@ -194,11 +214,8 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 		s.deltaFull = true
 		return g.containDense(faults, s.opts)
 	}
-	s.ensureBuffers()
-	if !s.warm || sc.owner != s {
-		if err := s.begin(tpl); err != nil {
-			return nil, err
-		}
+	if !s.warm {
+		s.begin(tpl)
 	}
 	target := s.bsA
 	if s.cur == s.bsA {
@@ -217,7 +234,7 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	// Diff the new family against the last successful Eval's: every value
 	// difference lies inside the union of the two dirty sets (see the
 	// package comment — the union is what catches healed columns).
-	gen := s.nextGen()
+	gen := bumpGen(s.mark, &s.gen)
 	s.changed = s.changed[:0]
 	for _, list := range [2][]int32{s.cur.DirtyColumns(), bs.DirtyColumns()} {
 		for _, z32 := range list {
@@ -242,7 +259,7 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	if err := s.verifyIncremental(faults, tpl); err != nil {
 		return nil, err
 	}
-	res.Embedding = sc.emb
+	res.Embedding = s.emb
 	s.commit(bs, boxes)
 	return res, nil
 }
@@ -398,99 +415,73 @@ func boxesInfluence(b, p *faultBox, tileShape grid.Shape) bool {
 	return true
 }
 
-// ensureBuffers sizes the per-column working state to the graph.
-func (s *Session) ensureBuffers() {
-	g := s.g
-	numCols := g.NumCols
-	if s.bsA == nil {
-		p := g.P
-		s.bsA = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
-		s.bsB = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
+// bumpGen advances *gen, the live generation of stamps, and returns it.
+// When the counter wraps, it clears the stamps and restarts at 1, so
+// neither a stale stamp nor the zero of a never-stamped entry can equal
+// the live generation.
+func bumpGen(stamps []int32, gen *int32) int32 {
+	*gen++
+	if *gen <= 0 {
+		clear(stamps)
+		*gen = 1
 	}
-	if cap(s.mark) < numCols {
-		s.mark = make([]int32, numCols)
-		s.state = make([]uint8, numCols)
-		s.gen = 0
-	}
-	s.mark = s.mark[:numCols]
-	s.state = s.state[:numCols]
-}
-
-// nextGen bumps the generation of the per-column stamps in mark. When
-// the counter wraps, it clears the stamps and restarts at 1, so neither a
-// stale stamp nor the zero of a never-stamped column can equal the live
-// generation.
-func (s *Session) nextGen() int32 {
-	s.gen++
-	if s.gen <= 0 {
-		clear(s.mark)
-		s.gen = 1
-	}
-	return s.gen
+	return *gen
 }
 
 // begin makes the all-defaults template the committed state: commit
-// zero. When the scratch holds a commit on this graph (this session's or
-// another's), it restores only the columns that commit left deviating;
-// otherwise (first use, another graph, or a dense extraction since) it
-// fills every column from the template in one O(N) pass.
-func (s *Session) begin(tpl *template) error {
-	g, sc := s.g, s.sc
-	n := g.P.N()
+// zero. The first begin sizes the session's per-column state and fills
+// every column from the template in one O(N) pass; every later one
+// restores only the columns the last commit left deviating.
+func (s *Session) begin(tpl *template) {
+	g := s.g
+	p := g.P
+	n := p.N()
 	numCols := g.NumCols
-	guest, err := sc.guestTorus(g.P.D, n)
-	if err != nil {
-		return err
-	}
-	e := sc.embedding(guest)
-	if o := sc.owner; o != nil && o.g == g {
+	if s.emb == nil {
+		s.bsA = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
+		s.bsB = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
+		s.mark = make([]int32, numCols)
+		s.state = make([]uint8, numCols)
+		s.faultCol = make([]int32, numCols)
+		s.colSeen = make([]int32, p.M())
+		s.cleanVec = make([]int32, n)
+		s.devCols = make([]bool, numCols)
+		s.rowflat = make([]int32, numCols*n)
+		s.rowmap = make([][]int32, numCols)
+		for z := range s.rowmap {
+			s.rowmap[z] = tpl.defaultRows
+		}
+		s.emb = embed.New(g.guest)
+		for i := 0; i < n; i++ {
+			host := int(tpl.defaultRows[i]) * numCols
+			for z := 0; z < numCols; z++ {
+				s.emb.Map[i*numCols+z] = host + z
+			}
+		}
+	} else {
 		// Point every previously dirty column back at the default rows and
 		// rewrite the map entries of the deviating ones, compacted in place
 		// into a sorted prefix of prevDirty.
-		restore := sc.prevDirty[:0]
-		for _, z32 := range sc.prevDirty {
-			sc.rowmap[z32] = tpl.defaultRows
-			if sc.devCols[z32] {
-				sc.devCols[z32] = false
+		restore := s.prevDirty[:0]
+		for _, z32 := range s.prevDirty {
+			s.rowmap[z32] = tpl.defaultRows
+			if s.devCols[z32] {
+				s.devCols[z32] = false
 				restore = append(restore, z32)
 			}
 		}
 		slices.Sort(restore)
-		writeColumns(e.Map, numCols, n, restore, sc.rowmap)
-	} else {
-		if cap(sc.rowmap) < numCols {
-			sc.rowmap = make([][]int32, numCols)
-		}
-		if cap(sc.devCols) < numCols {
-			sc.devCols = make([]bool, numCols)
-		}
-		if cap(sc.rowflat) < numCols*n {
-			sc.rowflat = make([]int32, numCols*n)
-		}
-		sc.rowmap = sc.rowmap[:numCols]
-		sc.devCols = sc.devCols[:numCols]
-		for z := range sc.rowmap {
-			sc.rowmap[z] = tpl.defaultRows
-			sc.devCols[z] = false
-		}
-		for i := 0; i < n; i++ {
-			host := int(tpl.defaultRows[i]) * numCols
-			for z := 0; z < numCols; z++ {
-				e.Map[i*numCols+z] = host + z
-			}
-		}
+		writeColumns(s.emb.Map, numCols, n, restore, s.rowmap)
 	}
-	sc.prevDirty = sc.prevDirty[:0]
-	sc.owner = s
+	s.prevDirty = s.prevDirty[:0]
 	s.cur = tpl.bs
 	s.prevBoxes = nil
 	s.warm = true
 	s.deltaFull = true
-	return nil
 }
 
-// commit records a successful Eval: the scratch's rowmap/dev/embedding
-// state now describes bs (placed from boxes), and sc.prevDirty (the
+// commit records a successful Eval: the session's rowmap/dev/embedding
+// state now describes bs (placed from boxes), and s.prevDirty (the
 // inter-trial restore list, extended by extractIncremental) covers every
 // column deviating from the template.
 func (s *Session) commit(bs *bands.Set, boxes []*faultBox) {
@@ -531,7 +522,7 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	g, sc := s.g, s.sc
 	n := g.P.N()
 	numCols := g.NumCols
-	rowmap, rowflat, dev := sc.rowmap, sc.rowflat, sc.devCols
+	rowmap, rowflat, dev := s.rowmap, s.rowflat, s.devCols
 	base := tpl.defaultRows
 
 	state := s.state
@@ -651,7 +642,7 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 					// First contact with a kept island: re-derive its vector
 					// once. If it matches, the whole component is valid; if
 					// not, the island genuinely shifted — flood into it.
-					tmp := sc.cleanVecBuf(n)
+					tmp := s.cleanVec
 					oldDev := dev[zn]
 					if err := g.transferFast(bs, base, sc, z, zn, rowmap[z], tmp, dev); err != nil {
 						return err
@@ -694,18 +685,18 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 		s.deltaCand = append(s.deltaCand, z32)
 	}
 	slices.Sort(written)
-	writeColumns(sc.emb.Map, numCols, n, written, rowmap)
+	writeColumns(s.emb.Map, numCols, n, written, rowmap)
 	s.written = written
 	// Extend the inter-trial restore set: anything re-derived this Eval
 	// may now deviate from the template.
-	gen := s.nextGen()
-	for _, z32 := range sc.prevDirty {
+	gen := bumpGen(s.mark, &s.gen)
+	for _, z32 := range s.prevDirty {
 		s.mark[z32] = gen
 	}
 	for _, z32 := range s.recomp {
 		if s.mark[z32] != gen {
 			s.mark[z32] = gen
-			sc.prevDirty = append(sc.prevDirty, z32)
+			s.prevDirty = append(s.prevDirty, z32)
 		}
 	}
 	return nil
@@ -722,15 +713,14 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 //
 //ftnet:hotpath
 func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
-	g, sc := s.g, s.sc
-	dev := sc.devCols
-	e := sc.emb
-	faultCol, fgen, err := g.verifyFaultPass(faults, tpl, sc, dev)
-	if err != nil {
+	g := s.g
+	dev := s.devCols
+	e := s.emb
+	if err := s.verifyFaultPass(faults, tpl); err != nil {
 		return err
 	}
 
-	gen := s.nextGen()
+	gen := bumpGen(s.mark, &s.gen)
 	s.verify = s.verify[:0]
 	//lint:allow hotpath add never escapes verifyIncremental; one stack closure per Eval, not per column
 	add := func(z int) {
@@ -755,7 +745,7 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 	inSet := func(z int) bool { return s.mark[z] == gen }
 	for _, z32 := range s.verify {
 		z := int(z32)
-		if err := g.verifyColumn(faults, sc, z, faultCol[z] == fgen,
+		if err := s.verifyColumn(faults, z, s.faultCol[z] == s.faultGen,
 			//lint:allow hotpath the skipPair predicate is consumed inside verifyColumn and never escapes; it stays on the stack
 			func(zn int) bool { return inSet(zn) && zn < z }); err != nil {
 			return err
@@ -764,7 +754,7 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 	if len(e.Map) != e.Guest.N() {
 		return fterr.New(fterr.Internal, "embed", "map has %d entries, guest has %d nodes", len(e.Map), e.Guest.N())
 	}
-	if j, z := firstUnsynced(e.Map, g.NumCols, g.P.N(), s.verify, sc.rowmap); z >= 0 {
+	if j, z := firstUnsynced(e.Map, g.NumCols, g.P.N(), s.verify, s.rowmap); z >= 0 {
 		return fterr.New(fterr.Internal, "core", "embedding out of sync with row vector at guest node (%d,%d)", j, z)
 	}
 	return nil
@@ -793,7 +783,7 @@ func (g *Graph) FindAnchorRotatingFault() int {
 // anchor: some column outside the committed family's dirty set — a
 // column with default bands — deviates from the default rows.
 func (s *Session) anchorRotated() bool {
-	for z, dev := range s.sc.devCols {
+	for z, dev := range s.devCols {
 		if dev && !s.cur.IsDirty(z) {
 			return true
 		}

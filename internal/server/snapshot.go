@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"ftnet/internal/fterr"
+	"ftnet/internal/wire"
 
 	"ftnet"
 )
@@ -57,10 +58,14 @@ func (d *diskSnapshot) checksum() uint64 {
 	return v
 }
 
-// check refuses to restore state onto an incompatible host.
+// check refuses to restore a snapshot of another version, with a
+// generation the wire codec cannot carry, or onto an incompatible host.
 func (d *diskSnapshot) check(cfg TopologyConfig, host *ftnet.RandomFaultTorus) error {
 	if d.Version != snapshotVersion {
 		return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot version %d, want %d", cfg.ID, d.Version, snapshotVersion)
+	}
+	if d.Generation < 0 || d.Generation >= wire.MaxValue {
+		return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot generation %d out of [0, %d)", cfg.ID, d.Generation, wire.MaxValue)
 	}
 	if d.TopologyID != cfg.ID {
 		return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot belongs to topology %q", cfg.ID, d.TopologyID)

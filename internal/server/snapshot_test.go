@@ -225,3 +225,42 @@ func TestWatchCatchUpBoundedByRing(t *testing.T) {
 		t.Fatalf("watch catch-up allocated %d bytes, want < 8 MB", grew)
 	}
 }
+
+// TestSnapshotRestoreRejectsOutOfRangeGeneration: a snapshot file whose
+// generation the wire codec cannot carry is corrupt, like one of another
+// version. Restored, a negative generation would fail every binary
+// encode until enough commits passed, and one at or above wire.MaxValue
+// would be served in full payloads that no decoder accepts.
+func TestSnapshotRestoreRejectsOutOfRangeGeneration(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(t, func(c *Config) { c.SnapshotDir = dir })
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil { // writes the generation-0 file
+		t.Fatal(err)
+	}
+	d, err := loadSnapshot(dir, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gen := range []int64{-3, 1 << 41} {
+		d.Generation = gen
+		data, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapshotPath(dir, "main"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(cfg)
+		if err == nil {
+			srv.Close()
+			t.Fatalf("restore at generation %d succeeded, want a %s error", gen, fterr.Corrupt)
+		}
+		if !fterr.Is(err, fterr.Corrupt) {
+			t.Fatalf("restore at generation %d: %v, want a %s error", gen, err, fterr.Corrupt)
+		}
+	}
+}

@@ -37,7 +37,7 @@ func entryBytes(m []int) []byte {
 func FuzzChecksum(f *testing.F) {
 	bounds := []int{
 		0, 255, 256, 65535, 65536, 1<<24 - 1, 1 << 24, 1<<32 - 1, 1 << 32,
-		int(maxValue), -1, math.MinInt64, math.MaxInt64,
+		int(MaxValue), -1, math.MinInt64, math.MaxInt64,
 	}
 	for _, v := range bounds {
 		f.Add(entryBytes([]int{v}))

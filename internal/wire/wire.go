@@ -71,7 +71,9 @@ const (
 	maxDims     = 16
 	maxSide     = 1 << 20
 	maxEntries  = 1 << 28
-	maxValue    = int64(1) << 40
+	// MaxValue bounds the integers a payload carries: every decoded node
+	// index and map entry lies below it, and no generation exceeds it.
+	MaxValue = int64(1) << 40
 )
 
 // Snapshot is one full committed embedding state on the wire — the
@@ -226,7 +228,7 @@ func appendEdges(b []byte, edges [][2]int) ([]byte, error) {
 	prevU, prevV := 0, -1
 	for i, e := range edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= v || int64(v) >= maxValue {
+		if u < 0 || u >= v || int64(v) >= MaxValue {
 			return nil, fterr.New(fterr.Invalid, "wire.Encode", "edge {%d, %d} not canonical (want 0 <= u < v)", u, v)
 		}
 		if i > 0 && (u < prevU || (u == prevU && v <= prevV)) {
@@ -251,7 +253,7 @@ func appendEdges(b []byte, edges [][2]int) ([]byte, error) {
 func appendVals(b []byte, vals []int) ([]byte, error) {
 	prev := 0
 	for _, v := range vals {
-		if v < 0 || int64(v) >= maxValue {
+		if v < 0 || int64(v) >= MaxValue {
 			return nil, fterr.New(fterr.Invalid, "wire.Encode", "map entry %d out of range", v)
 		}
 		b = binary.AppendVarint(b, int64(v-prev))
@@ -450,11 +452,11 @@ func (r *reader) faults() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if gap > uint64(maxValue) {
+		if gap > uint64(MaxValue) {
 			return nil, corrupt("fault gap %d out of range", gap)
 		}
 		v := int64(prev) + 1 + int64(gap)
-		if v < 0 || v >= maxValue {
+		if v < 0 || v >= MaxValue {
 			return nil, corrupt("fault index %d out of range", v)
 		}
 		out = append(out, int(v))
@@ -485,7 +487,7 @@ func (r *reader) edges() ([][2]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if du > uint64(maxValue) || dv > uint64(maxValue) {
+		if du > uint64(MaxValue) || dv > uint64(MaxValue) {
 			return nil, corrupt("edge gap out of range")
 		}
 		u := int64(prevU) + int64(du)
@@ -495,7 +497,7 @@ func (r *reader) edges() ([][2]int, error) {
 		} else {
 			v = int64(prevV) + 1 + int64(dv)
 		}
-		if u < 0 || v <= u || v >= maxValue {
+		if u < 0 || v <= u || v >= MaxValue {
 			return nil, corrupt("edge {%d, %d} out of range", u, v)
 		}
 		out = append(out, [2]int{int(u), int(v)})
@@ -513,7 +515,7 @@ func (r *reader) vals(dst []int, what string) error {
 			return err
 		}
 		v := prev + dv
-		if v < 0 || v >= maxValue {
+		if v < 0 || v >= MaxValue {
 			return corrupt("%s entry %d out of range", what, v)
 		}
 		dst[i] = int(v)
@@ -549,7 +551,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gen > uint64(maxValue) {
+	if gen > uint64(MaxValue) {
 		return nil, corrupt("generation %d out of range", gen)
 	}
 	side, dims, err := r.geometry()
@@ -610,7 +612,7 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if from > to || to > uint64(maxValue) {
+	if from > to || to > uint64(MaxValue) {
 		return nil, corrupt("generation range %d -> %d invalid", from, to)
 	}
 	side, dims, err := r.geometry()
@@ -644,7 +646,7 @@ func DecodeDelta(data []byte) (*Delta, error) {
 		if err != nil {
 			return nil, err
 		}
-		if gap > uint64(maxValue) {
+		if gap > uint64(MaxValue) {
 			return nil, corrupt("column gap %d out of range", gap)
 		}
 		col := int64(prev) + 1 + int64(gap)
