@@ -16,10 +16,12 @@
 //
 // Each churn event mutates the fault set by a recorded delta, which is
 // exactly what core.Session consumes: one event costs one incremental
-// Eval — O(fault footprint), not O(N) — instead of a from-scratch
+// step — O(fault footprint), not O(N) — instead of a from-scratch
 // pipeline run (BenchmarkChurnSession pins the gap). The lifetime driver
-// (lifetime.go) runs one loop for every evaluation mode — per-event,
-// the from-scratch ablation (a session Reset before each Eval) and the
+// (lifetime.go) steps with Session.Check, which skips the embedding map
+// nobody reads there, and runs one loop for every evaluation mode —
+// per-event, the from-scratch ablation (a session Reset before each
+// Check) and the
 // batched placement probe — and folds each event's status into one life
 // accumulator, which the coupled repair ladder (ladder.go) keeps per
 // rung. Trials aggregate into death-time, death-size and availability

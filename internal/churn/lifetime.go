@@ -67,12 +67,12 @@ type Options struct {
 	// machines.
 	StopAtDeath bool
 	// Independent is the from-scratch ablation: the session is Reset
-	// before every event's Eval, so each state is evaluated against
+	// before every event's Check, so each state is evaluated against
 	// commit zero (the all-defaults template) instead of the previous
 	// event's commit. Outcomes are bit-identical either way — the
 	// session's equivalence contract — so the flag only moves cost.
 	Independent bool
-	// Dense builds each worker's session in dense mode: every Eval runs
+	// Dense builds each worker's session in dense mode: every Check runs
 	// the whole-host pipeline, the engine's oracle. It is read once,
 	// when a worker's session is built.
 	Dense bool
@@ -169,11 +169,14 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 // is decided on the *effective* (charged) node set. Only the source of
 // an event's status depends on the options:
 //
-//   - per event (the oracle): one session Eval on the event's deltas;
-//   - Independent: the same Eval after a session Reset, so each event is
+//   - per event (the oracle): one session Check on the event's deltas;
+//   - Independent: the same Check after a session Reset, so each event is
 //     evaluated from commit zero instead of from the previous event;
 //   - Batch >= 2: the placement probe core.Graph.Tolerates, plus one warm
-//     session Eval per window of Batch events.
+//     session Check per window of Batch events.
+//
+// Check is the full pipeline — placement, extraction, verification and
+// commit — without the embedding map, which no status reads.
 //
 // Why a probe instead of bisecting a window for its death event:
 // bisection leans on embeddability being antitone in the fault set, and
@@ -186,7 +189,7 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 // sound: every unhealthy classification the pipeline makes is decided by
 // the placement stages alone — extraction and verification fail only on
 // bug-class invariant violations — so the probe is the oracle's exact
-// status at a fraction of its cost. The window Eval keeps the session's
+// status at a fraction of its cost. The window Check keeps the session's
 // committed state bounded and cross-checks the probe: a state the probe
 // accepts and the pipeline rejects is an internal error.
 //
@@ -200,7 +203,7 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, opts Options,
 	ts.ch.Reset()
 	var l life
 	l.reset(opts.Horizon)
-	pending := 0 // batched: events since the last committed session Eval
+	pending := 0 // batched: events since the last committed session Check
 	for {
 		if l.events >= opts.MaxEvents {
 			// Refusing to report is better than silently crediting the
@@ -222,7 +225,7 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, opts Options,
 		} else {
 			// Batched windows evaluate only at their boundaries, but the
 			// note contract — every mutation since the last successful
-			// Eval — must hold at each of them, so every event reports.
+			// step — must hold at each of them, so every event reports.
 			ts.ses.NoteAdded(ev.EffAdded)
 			ts.ses.NoteCleared(ev.EffCleared)
 		}
@@ -235,14 +238,13 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, opts Options,
 				// Window boundary on a tolerated state. A down state defers
 				// the boundary: failed Evals do not commit, and the notes
 				// keep accumulating.
-				if _, err = ts.ses.Eval(eff); errors.As(err, new(*core.UnhealthyError)) {
+				if err = ts.ses.Check(eff); errors.As(err, new(*core.UnhealthyError)) {
 					return fterr.New(fterr.Internal, "churn.batch", "placement probe accepted a state the full pipeline rejects: %v", err)
 				}
 				pending = 0
 			}
 		} else {
-			_, err = ts.ses.Eval(eff)
-			upNow, err = evalClass(err)
+			upNow, err = evalClass(ts.ses.Check(eff))
 		}
 		if err != nil {
 			return err

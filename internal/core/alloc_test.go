@@ -8,7 +8,8 @@ import (
 // TestHotPathAllocs is the runtime counterpart of the hotpath analyzer
 // (internal/analysis/hotpath) for the core trial loop: once the scratch
 // is warm, the //ftnet:hotpath-annotated placement, transfer,
-// verification and map-sweep leaves must run allocation-free.
+// verification and map-sweep leaves, and Eval's map sync, must run
+// allocation-free.
 // AllocsPerRun and the static rule cross-check each other — an
 // allocation snuck past one is still caught by the other.
 func TestHotPathAllocs(t *testing.T) {
@@ -91,5 +92,18 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	}); a > 0 {
 		t.Errorf("firstUnsynced: %v allocs/op, want 0", a)
+	}
+
+	// The warm map sync: the same columns marked stale, rewritten, and
+	// the warmup's verify set swept.
+	if a := testing.AllocsPerRun(20, func() {
+		for _, z := range cols {
+			ses.markStale(z)
+		}
+		if err := ses.syncMap(tpl); err != nil {
+			t.Fatalf("syncMap: %v", err)
+		}
+	}); a > 0 {
+		t.Errorf("syncMap: %v allocs/op, want 0", a)
 	}
 }

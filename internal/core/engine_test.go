@@ -251,3 +251,101 @@ func TestEngineColumnNeighborTable(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineDeltaCandBounded: a session that is never drained — a
+// Monte-Carlo worker's, or a facade session used only through Reembed —
+// keeps its wire-delta candidates and its stale-column list within one
+// entry per column, however many steps it runs. Each step toggles one
+// fault, so every step re-derives the fault's footprint; every third
+// step is an Eval and the rest are Checks, so both paths mark columns.
+// One session is never drained (its delta stays full from the first
+// step), the other is drained once after its first step (every later
+// column is a candidate). Short mode runs a tenth of the steps.
+func TestEngineDeltaCandBounded(t *testing.T) {
+	g := mustGraph(t, testParams2DTight())
+	faults := fault.NewSet(g.NumNodes())
+	undrained := g.NewSession(NewScratch(1), ExtractOptions{})
+	drained := g.NewSession(NewScratch(1), ExtractOptions{})
+	u := []int{g.NodeIndex(g.P.M()/2, g.P.N()/2)}
+	steps := 20000
+	if testing.Short() {
+		steps = 2000
+	}
+	for step := 0; step < steps; step++ {
+		if faults.Has(u[0]) {
+			faults.Remove(u[0])
+		} else {
+			faults.Add(u[0])
+		}
+		for _, ses := range []*Session{undrained, drained} {
+			if faults.Has(u[0]) {
+				ses.NoteAdded(u)
+			} else {
+				ses.NoteCleared(u)
+			}
+			var err error
+			if step%3 == 0 {
+				_, err = ses.Eval(faults)
+			} else {
+				err = ses.Check(faults)
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if len(ses.deltaCand) > g.NumCols || len(ses.staleCols) > g.NumCols {
+				t.Fatalf("step %d: %d delta candidates and %d stale columns on a %d-column host",
+					step, len(ses.deltaCand), len(ses.staleCols), g.NumCols)
+			}
+		}
+		if step == 0 {
+			drained.DrainDelta()
+		}
+	}
+	if len(undrained.deltaCand) != 0 {
+		t.Errorf("a session whose delta is full listed %d candidates", len(undrained.deltaCand))
+	}
+	if len(drained.deltaCand) == 0 {
+		t.Error("the drained session listed no candidate after its drain")
+	}
+	evalSessionBoth(t, g, undrained, faults, "undrained, last step")
+	evalSessionBoth(t, g, drained, faults, "drained once, last step")
+}
+
+// TestEngineCheckHoldsNoMap: a session driven only by Check and Reset
+// never allocates its embedding map, and the first Eval after any such
+// run builds the map bit-identical to the dense pipeline.
+func TestEngineCheckHoldsNoMap(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	faults := sc.Faults(g.NumNodes())
+	for i, u := range []int{g.NodeIndex(300, 250), g.NodeIndex(60, 130), g.NodeIndex(400, 20)} {
+		if i == 1 {
+			ses.Reset()
+		}
+		faults.Add(u)
+		ses.NoteAdded([]int{u})
+		if err := ses.Check(faults); err != nil {
+			t.Fatal(err)
+		}
+		if len(ses.recomp) == 0 {
+			t.Fatalf("check %d re-derived no column", i)
+		}
+	}
+	if ses.emb != nil {
+		t.Fatal("a session driven only by Check and Reset allocated its map")
+	}
+	if len(ses.staleCols) == 0 {
+		t.Fatal("the checks left no stale column for the first map sync")
+	}
+	if _, full := ses.DrainDelta(); !full {
+		t.Fatal("the checks since the Reset must drain a full delta")
+	}
+	evalSessionBoth(t, g, ses, faults, "first Eval after checks")
+	if len(ses.staleCols) != 0 {
+		t.Fatalf("the map sync left %d stale columns", len(ses.staleCols))
+	}
+	if _, full := ses.DrainDelta(); !full {
+		t.Fatal("the map sync that allocated the map must drain a full delta")
+	}
+}

@@ -194,7 +194,9 @@ type Result struct {
 // With opts.Scratch set, the trial is Reset + Eval on the delta engine
 // the scratch keeps for g: cost proportional to the fault footprint, not
 // the host size, and the Result aliases that session until the next such
-// trial on the scratch. opts.Dense, opts.CheckConsistency or a nil
+// trial on the scratch. Eval also brings the session's embedding map up
+// to date (the first trial on a scratch allocates it); a caller that
+// only needs the outcome steps its own Session with Check instead. opts.Dense, opts.CheckConsistency or a nil
 // Scratch select the dense whole-host pipeline instead; its Result
 // aliases the scratch until the next dense call on it (see Scratch), and
 // without a scratch it allocates fresh buffers.

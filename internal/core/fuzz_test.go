@@ -11,14 +11,19 @@ import (
 // fuzzer-chosen add/remove script on a small instance and pins every
 // reached state against the dense pipeline. The contract: whatever the
 // mutation order — including mutations applied while the session holds
-// an unhealthy (failed) state — Eval is bit-identical to a from-scratch
-// dense evaluation, errors stay typed, and nothing panics. Seed corpus
-// runs under plain `go test`; CI explores with
-// `go test -fuzz FuzzSession -fuzztime 30s ./internal/core`.
+// an unhealthy (failed) state, and map-free Checks in any mix with
+// Evals and Resets — Eval is bit-identical to a from-scratch dense
+// evaluation, Check classifies like it, errors stay typed, and nothing
+// panics. Every script ends with an Eval, whose map sync catches up on
+// every Check before it. Seed corpus runs under plain `go test`; CI
+// explores with `go test -fuzz FuzzSession -fuzztime 30s ./internal/core`.
 func FuzzSession(f *testing.F) {
 	f.Add([]byte{0, 10, 20, 0, 200, 100, 1, 10, 20})
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 1, 1, 2, 1, 5, 6})
 	f.Add([]byte{0, 128, 128, 2, 0, 0, 0, 128, 129, 3, 0, 0})
+	// Checks across a Reset before the final Eval.
+	f.Add([]byte{0, 10, 20, 6, 0, 0, 3, 0, 0, 0, 200, 100, 6, 0, 0, 1, 10, 20, 6, 0, 0})
+	f.Add([]byte{0, 128, 128, 2, 0, 0, 0, 60, 90, 6, 0, 0, 3, 0, 0, 1, 128, 128, 6, 0, 0, 0, 5, 6})
 	p := Params{D: 2, W: 4, Pitch: 16, Scale: 1}
 	g, err := NewGraph(p)
 	if err != nil {
@@ -33,7 +38,8 @@ func FuzzSession(f *testing.F) {
 		faults := fault.NewSet(g.NumNodes())
 		delta := make([]int, 0, 1)
 		// Interpret byte triples as (op, row seed, column seed): op&3
-		// selects add / remove / eval-now / reset.
+		// selects add / remove / step-now / reset, and a step-now with
+		// bit 2 of op set is a Check instead of an Eval.
 		for i := 0; i+2 < len(raw); i += 3 {
 			op := raw[i] & 3
 			u := g.NodeIndex(int(raw[i+1])*g.P.M()/256, int(raw[i+2])*g.P.N()/256)
@@ -49,7 +55,11 @@ func FuzzSession(f *testing.F) {
 					ses.NoteCleared(append(delta[:0], u))
 				}
 			case 2:
-				fuzzEvalBoth(t, g, ses, faults)
+				if raw[i]&4 != 0 {
+					checkSessionClass(t, g, ses, faults, nil, "fuzz")
+				} else {
+					fuzzEvalBoth(t, g, ses, faults)
+				}
 			case 3:
 				ses.Reset()
 			}

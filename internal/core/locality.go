@@ -21,7 +21,9 @@
 //     the untouched remainder.
 //   - writeColumns and firstUnsynced write and check the row-major
 //     embedding map for a sorted list of columns, sweeping it row by row
-//     instead of column by column.
+//     instead of column by column. Only Eval's map sync (syncMap) calls
+//     them: the map is a view of the row vectors, and Check never
+//     touches it.
 //
 // The dense pipeline (Extract, VerifyBuf) is the oracle these are pinned
 // against, and the ExtractOptions.Dense ablation.
@@ -118,7 +120,7 @@ func (g *Graph) buildTemplate() *template {
 	}
 
 	// Verify the default embedding once, from first principles, against
-	// the fault-free host. Every Eval reuses this certificate for the
+	// the fault-free host. Every step reuses this certificate for the
 	// columns its faults do not touch.
 	e := embed.New(g.guest)
 	for i := 0; i < n; i++ {
@@ -260,7 +262,7 @@ func int32Equal(a, b []int32) bool {
 // neighbor columns except those for which skipPair reports the pair is
 // (or will be) checked from the other side. It reads rows through
 // s.rowmap instead of dividing e.Map entries, which keeps the hot loops
-// division-free; verifyIncremental then pins the map to the verified
+// division-free; Eval's map sync then pins the map to the verified
 // vectors in one row-major sweep (firstUnsynced). hasFaults (from
 // verifyFaultPass) gates the per-row fault check.
 //
@@ -345,9 +347,9 @@ func (s *Session) verifyColumn(faults *fault.Set, z int, hasFaults bool, skipPai
 // NumCols — while the row vectors (rowflat) are column-major, n entries
 // per column. Writing or checking one column of the map touches n
 // entries C apart (295 KB at d=3), each its own cache line and page, so
-// the engine touches the map only through these two sweeps, which visit
-// the listed columns in ascending order within each row (writeColumns)
-// or band of syncRows rows (firstUnsynced).
+// Eval's map sync (syncMap) touches the map only through these two
+// sweeps, which visit the listed columns in ascending order within each
+// row (writeColumns) or band of syncRows rows (firstUnsynced).
 
 // writeColumns sets the map entries of the listed columns from their row
 // vectors: entry j·C+z becomes host node rowmap[z][j]·C+z. cols must be

@@ -94,7 +94,7 @@ func (g *Graph) placeBands(faults *fault.Set, sc *Scratch) (*bands.Set, *PlaceRe
 // buildBoxes runs the combinatorial half of Lemma 5 — fault-box
 // isolation, pigeonhole segments, padding — and returns the finished box
 // list ready for interpolation. The boxes are freshly allocated each
-// call (the delta-evaluation engine retains the previous Eval's list for
+// call (the delta-evaluation engine retains the previous step's list for
 // box-level diffing); only the odometer and bitmap buffers come from sc.
 func (g *Graph) buildBoxes(faults *fault.Set, sc *Scratch) ([]*faultBox, *PlaceReport, error) {
 	rep := &PlaceReport{Faults: faults.Count()}

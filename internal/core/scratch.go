@@ -15,17 +15,18 @@ import (
 // overwrites it. The parallel trial engine creates one Scratch per worker
 // (Options.NewScratch) and hands it to every trial.
 //
-// A Scratch holds no committed state. A Session keeps its own commit
-// (session.go) and borrows the scratch's buffers only during an Eval, so
-// a dense call on the scratch leaves every session's commit alone.
-// ContainTorus with a Scratch runs one trial on a Session the scratch
-// keeps for its graph.
+// A Scratch holds no committed state. A Session keeps its own commit and
+// embedding map (session.go) and borrows the scratch's buffers only
+// during an Eval or Check, so a dense call on the scratch leaves every
+// session's commit alone. ContainTorus with a Scratch runs one trial
+// (Reset + Eval) on a Session the scratch keeps for its graph.
 //
 // Ownership: a dense Result produced with a Scratch aliases its buffers
 // (Result.Embedding) and is valid only until the next dense call on the
-// same Scratch; a Session's Result aliases the Session (Session.Eval).
-// Clone anything that must outlive the trial. A Scratch must never be
-// shared by concurrently running calls.
+// same Scratch; a Session's Result aliases the Session and is valid
+// until its next Eval, Check or Reset (Session.Eval). Clone anything
+// that must outlive the trial. A Scratch must never be shared by
+// concurrently running calls.
 type Scratch struct {
 	// Workers bounds the *inner* parallelism of the dense band
 	// interpolation. Trials dispatched by the parallel engine should set

@@ -2,18 +2,25 @@
 // Theorem 2 construction.
 //
 // A Session carries the pipeline state — copy-on-write band families,
-// row vectors, embedding, certification — across a sequence of Evals
-// whose fault sets differ by arbitrary mutations: additions, removals,
-// or both at once. The all-defaults template (locality.go) is commit
-// zero: Reset makes it the committed state again, so the first Eval of a
-// trial is an ordinary step diffed against the template. Each Eval
-// re-derives only the columns whose band values actually changed since
-// the last commit, and its result is bit-identical to a from-scratch
-// dense evaluation of the same fault set (the golden interleaving suite
-// pins this). ContainTorus with a Scratch, the coupled rate ladder
-// (internal/sweep) and the churn workloads (internal/churn) are all
-// clients of this engine; the dense pipeline (Extract, and ContainTorus
-// without a Scratch) is its oracle and the -dense ablation.
+// row vectors, certification — across a sequence of steps whose fault
+// sets differ by arbitrary mutations: additions, removals, or both at
+// once. The all-defaults template (locality.go) is commit zero: Reset
+// makes it the committed state again, so the first step of a trial is an
+// ordinary step diffed against the template. Each step re-derives only
+// the columns whose band values actually changed since the last commit,
+// and its result is bit-identical to a from-scratch dense evaluation of
+// the same fault set (the golden interleaving suite pins this).
+//
+// The row vectors are the commit. The row-major embedding map is a view
+// of them that only Eval brings up to date: a step marks the columns
+// whose map entries no longer match their vectors stale, and Eval's map
+// sync rewrites exactly those. Check is the same step without the sync,
+// for callers that only ask whether the fault set is tolerated. The
+// Monte-Carlo engines (the coupled rate ladder in internal/sweep, the
+// lifetime trials in internal/churn) call Check; ContainTorus with a
+// Scratch and the ftnet facade call Eval. The dense pipeline (Extract,
+// and ContainTorus without a Scratch) is the engine's oracle and the
+// -dense ablation.
 //
 // The reuse argument is the locality/path-independence argument of
 // Lemmas 5-7, applied between two consecutive band families:
@@ -21,7 +28,7 @@
 //   - Placement (Lemmas 5, 9-11) makes every column's band values a pure
 //     function of the pinned corners in its own tile cell, so two
 //     families differ only inside the footprints of the boxes that
-//     changed. Eval detects those columns by value diff over the two
+//     changed. A step detects those columns by value diff over the two
 //     families' dirty sets — bit-exact, independent of how boxes moved —
 //     and revalidates only them (bands.ValidateColumns).
 //   - Extraction (Lemmas 6-7): the canonical row vector of a column whose
@@ -36,7 +43,7 @@
 //     vector was re-derived, the deviating neighbors of re-derived
 //     columns (their cross-column edges face new vectors), and the
 //     deviating columns whose fault membership changed; everything else
-//     is covered by the previous Eval's certification plus the template
+//     is covered by the previous step's certification plus the template
 //     certificate.
 //
 // A rotated anchor is an ordinary commit. When a footprint moves the
@@ -51,14 +58,14 @@
 // back toward the template. Such a column is dirty in the previous
 // committed family (it deviated from the template) but clean in the new
 // one (SeedFrom restored it), so diffing either dirty set alone would
-// miss it; Eval diffs over the union — previous-commit dirt plus
+// miss it; a step diffs over the union — previous-commit dirt plus
 // new-placement dirt — which is exactly "may differ from the template on
 // either side". The healed column's vector is then re-derived from a
 // trusted frontier like any changed column, and if it returns to the
 // default base its embedding slice falls back to the template map (the
 // oldDev bookkeeping). No certification work is lost to removals that
 // leave the bands alone: an embedding certified against a fault set
-// remains valid for every subset, and the per-Eval fault pass
+// remains valid for every subset, and the per-step fault pass
 // (verifyFaultPass) re-checks the surviving faults against the current
 // deviation state anyway.
 package core
@@ -73,24 +80,25 @@ import (
 	"ftnet/internal/grid"
 )
 
-// Column states during one Eval's incremental extraction.
+// Column states during one step's incremental extraction.
 const (
 	swKept      uint8 = iota // bands unchanged, vector provisionally kept
 	swChanged                // band values changed, vector must be re-derived
 	swAnchor                 // unchanged and connected to column 0: trusted
 	swConfirmed              // unchanged island column whose kept vector was re-derived and matched
-	swAssigned               // vector re-derived this Eval
+	swAssigned               // vector re-derived this step
 )
 
 // Session is the bidirectional delta-evaluation engine. It owns its
-// committed state — two copy-on-write band families (successive Evals
+// committed state — two copy-on-write band families (successive steps
 // alternate between them so the previous state's values survive for
-// diffing), the row vectors, deviation flags and embedding they give —
-// and the bookkeeping of which columns each Eval actually recomputed. It
-// borrows only its Scratch's per-call buffers, for the length of one
-// Eval, so other calls on that Scratch leave the commit alone. Like a
-// Scratch, a Session must never be shared by concurrent trials; it stays
-// valid across trials (call Reset at each trial start).
+// diffing), the row vectors and deviation flags they give, and the
+// embedding map Eval keeps in step with the vectors — and the
+// bookkeeping of which columns each step actually recomputed. It borrows
+// only its Scratch's per-call buffers, for the length of one step, so
+// other calls on that Scratch leave the commit alone. Like a Scratch, a
+// Session must never be shared by concurrent trials; it stays valid
+// across trials (call Reset at each trial start).
 type Session struct {
 	g    *Graph
 	sc   *Scratch
@@ -100,29 +108,39 @@ type Session struct {
 	cur      *bands.Set // committed family: the template, or bsA/bsB
 	warm     bool       // cur is committed; false after Reset
 
-	// The committed map, filled from the template by the first begin:
+	// The committed row vectors, set to the template by the first begin:
 	// rowmap points every column at its row vector (the template's
 	// default rows, or the column's slot in rowflat), devCols flags the
-	// vectors that deviate from the default rows, emb holds the map they
-	// give, and prevDirty lists every column a commit since the last
-	// begin may have left deviating (begin restores exactly those).
+	// vectors that deviate from the default rows, and prevDirty lists
+	// every column a commit since the last begin may have left deviating
+	// (begin restores exactly those).
 	rowmap    [][]int32
 	rowflat   []int32
 	devCols   []bool
-	emb       *embed.Embedding
 	prevDirty []int32
 
-	churnCols []int32 // columns whose fault membership changed since the last successful Eval
+	// The embedding map the row vectors give, a view that only Eval's
+	// syncMap brings up to date: nil until the first Eval, and afterwards
+	// equal to the map of the vectors outside the columns flagged stale,
+	// which staleCols lists once each.
+	emb       *embed.Embedding
+	stale     []bool
+	staleCols []int32
 
-	// Wire-delta accounting (DrainDelta): every embedding write since the
-	// previous drain is covered either by a column in deltaCand or by
-	// deltaFull. Failed Evals accumulate too — extraction can write
-	// embedding entries before verification rejects the state, and those
-	// columns may not be re-derived by the next successful Eval.
+	churnCols []int32 // columns whose fault membership changed since the last successful step
+
+	// Wire-delta accounting (DrainDelta): every map column that may have
+	// changed since the previous drain is covered either by deltaCand or
+	// by deltaFull. deltaCand lists a column at most once (inDelta flags
+	// it) and takes nothing while deltaFull is set, so it never exceeds
+	// NumCols entries, drained or not. Failed steps accumulate too — a
+	// step can re-derive vectors before verification rejects the state,
+	// and those columns may not be re-derived by the next successful Eval.
 	deltaCand []int32
+	inDelta   []bool
 	deltaFull bool
 
-	// Box-level placement diff: the previous successful Eval's box list
+	// Box-level placement diff: the previous successful step's box list
 	// and the per-box classification buffers of the current one (see
 	// interpolateDelta; session-owned so the per-event hot path does not
 	// allocate).
@@ -136,9 +154,8 @@ type Session struct {
 	state   []uint8
 	changed []int32
 	queue   []int
-	recomp  []int32 // columns whose vector was re-derived this Eval
+	recomp  []int32 // columns whose vector was re-derived this step
 	oldDev  []bool  // dev flag each recomp column had before re-derivation
-	written []int32 // sorted recomp columns whose map entries this Eval rewrote
 	pending []int32
 	verify  []int32
 
@@ -150,23 +167,23 @@ type Session struct {
 }
 
 // NewSession wraps sc, which must not be nil, for delta evaluation on g.
-// opts.Scratch is forced to sc; opts.Dense degrades every Eval to the
-// independent dense pipeline (the ablation mode).
+// opts.Scratch is forced to sc; opts.Dense degrades every Eval and Check
+// to the independent dense pipeline (the ablation mode).
 func (g *Graph) NewSession(sc *Scratch, opts ExtractOptions) *Session {
 	opts.Scratch = sc
 	return &Session{g: g, sc: sc, opts: opts}
 }
 
-// Reset starts a new trial: the next Eval makes the all-defaults
-// template the committed state and diffs against it instead of against
-// the previous trial's state.
+// Reset starts a new trial: the next Eval or Check makes the
+// all-defaults template the committed state and diffs against it instead
+// of against the previous trial's state.
 func (s *Session) Reset() {
 	s.warm = false
 	s.churnCols = s.churnCols[:0]
 }
 
 // NoteAdded records newly added fault indices (as returned by
-// fault.Set.Extend or BernoulliRecord) so the next Eval re-certifies
+// fault.Set.Extend or BernoulliRecord) so the next step re-certifies
 // their columns even when no band moved — e.g. a fault landing on an
 // already-masked row.
 func (s *Session) NoteAdded(added []int) {
@@ -180,7 +197,7 @@ func (s *Session) NoteAdded(added []int) {
 // previous certification — an embedding certified against a fault set
 // remains valid for every subset — but the columns are recorded anyway
 // so every certified state has been checked against exactly its own
-// fault set, keeping each Eval's certificate self-contained instead of
+// fault set, keeping each step's certificate self-contained instead of
 // resting on a subset argument. The cost is one extra column visit per
 // cleared fault, and only when the column deviates.
 func (s *Session) NoteCleared(cleared []int) {
@@ -191,17 +208,39 @@ func (s *Session) NoteCleared(cleared []int) {
 
 // Eval runs the full pipeline — place, extract, verify — on the given
 // fault set and returns the survival proof, reusing as much of the
-// previous successful Eval's work as the band-value diff allows. The
-// fault set may differ from the previous Eval's by any mixture of
+// previous successful step's work as the band-value diff allows. The
+// fault set may differ from the previous step's by any mixture of
 // additions and removals, as long as every mutation since the last
-// successful Eval was reported through NoteAdded/NoteCleared. The Result
-// aliases the Session and is valid only until the next Eval or Reset.
-// An *UnhealthyError is a survival failure (the committed state stays:
-// the next Eval diffs against the last healthy state, or against the
-// template if none committed since Reset); other errors are bugs.
+// successful step was reported through NoteAdded/NoteCleared. After
+// verification, Eval brings the embedding map up to date with the
+// verified row vectors (syncMap). The Result aliases the Session and is
+// valid only until the next Eval, Check or Reset. An *UnhealthyError is
+// a survival failure (the committed state stays: the next step diffs
+// against the last healthy state, or against the template if none
+// committed since Reset); other errors are bugs.
 //
 //ftnet:hotpath
 func (s *Session) Eval(faults *fault.Set) (*Result, error) {
+	return s.step(faults, true)
+}
+
+// Check is Eval without the embedding map: the same placement,
+// extraction, verification and commit, and the same error, but no map
+// sync and no Result. It is the step of callers that only ask whether
+// the fault set is tolerated, such as the Monte-Carlo engines. A session
+// driven only by Check and Reset never allocates its map; the next Eval
+// brings it up to date with every Check since.
+//
+//ftnet:hotpath
+func (s *Session) Check(faults *fault.Set) error {
+	_, err := s.step(faults, false)
+	return err
+}
+
+// step is Eval, and Check when withMap is false.
+//
+//ftnet:hotpath
+func (s *Session) step(faults *fault.Set, withMap bool) (*Result, error) {
 	g, sc := s.g, s.sc
 	if s.opts.Dense {
 		s.deltaFull = true
@@ -209,7 +248,7 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	}
 	tpl, err := g.template()
 	if err != nil {
-		// No usable template (e.g. ablated edge classes): every Eval runs
+		// No usable template (e.g. ablated edge classes): every step runs
 		// the dense pipeline, which reports such failures on its own terms.
 		s.deltaFull = true
 		return g.containDense(faults, s.opts)
@@ -231,7 +270,7 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	}
 	res := &Result{Bands: bs, Report: rep}
 
-	// Diff the new family against the last successful Eval's: every value
+	// Diff the new family against the last successful step's: every value
 	// difference lies inside the union of the two dirty sets (see the
 	// package comment — the union is what catches healed columns).
 	gen := bumpGen(s.mark, &s.gen)
@@ -259,7 +298,12 @@ func (s *Session) Eval(faults *fault.Set) (*Result, error) {
 	if err := s.verifyIncremental(faults, tpl); err != nil {
 		return nil, err
 	}
-	res.Embedding = s.emb
+	if withMap {
+		if err := s.syncMap(tpl); err != nil {
+			return nil, err
+		}
+		res.Embedding = s.emb
+	}
 	s.commit(bs, boxes)
 	return res, nil
 }
@@ -429,15 +473,17 @@ func bumpGen(stamps []int32, gen *int32) int32 {
 }
 
 // begin makes the all-defaults template the committed state: commit
-// zero. The first begin sizes the session's per-column state and fills
-// every column from the template in one O(N) pass; every later one
-// restores only the columns the last commit left deviating.
+// zero. The first begin sizes the session's per-column state and points
+// every column at the template's default rows; every later one restores
+// only the columns the last commit left deviating, and marks their map
+// entries stale. Neither touches the map itself (syncMap does).
 func (s *Session) begin(tpl *template) {
 	g := s.g
 	p := g.P
 	n := p.N()
 	numCols := g.NumCols
-	if s.emb == nil {
+	s.deltaFull = true
+	if s.rowmap == nil {
 		s.bsA = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
 		s.bsB = bands.NewSet(p.M(), p.W, g.ColShape, p.K())
 		s.mark = make([]int32, numCols)
@@ -446,69 +492,128 @@ func (s *Session) begin(tpl *template) {
 		s.colSeen = make([]int32, p.M())
 		s.cleanVec = make([]int32, n)
 		s.devCols = make([]bool, numCols)
+		s.stale = make([]bool, numCols)
+		s.inDelta = make([]bool, numCols)
 		s.rowflat = make([]int32, numCols*n)
 		s.rowmap = make([][]int32, numCols)
 		for z := range s.rowmap {
 			s.rowmap[z] = tpl.defaultRows
 		}
-		s.emb = embed.New(g.guest)
-		for i := 0; i < n; i++ {
-			host := int(tpl.defaultRows[i]) * numCols
-			for z := 0; z < numCols; z++ {
-				s.emb.Map[i*numCols+z] = host + z
-			}
-		}
 	} else {
-		// Point every previously dirty column back at the default rows and
-		// rewrite the map entries of the deviating ones, compacted in place
-		// into a sorted prefix of prevDirty.
-		restore := s.prevDirty[:0]
+		// Point every previously dirty column back at the default rows; the
+		// map entries of the deviating ones go stale.
 		for _, z32 := range s.prevDirty {
 			s.rowmap[z32] = tpl.defaultRows
 			if s.devCols[z32] {
 				s.devCols[z32] = false
-				restore = append(restore, z32)
+				s.markStale(z32)
 			}
 		}
-		slices.Sort(restore)
-		writeColumns(s.emb.Map, numCols, n, restore, s.rowmap)
 	}
 	s.prevDirty = s.prevDirty[:0]
 	s.cur = tpl.bs
 	s.prevBoxes = nil
 	s.warm = true
+}
+
+// markStale records that column z's map entries may no longer match its
+// row vector: the next map sync rewrites them, and the wire delta
+// reports the column.
+//
+//ftnet:hotpath
+func (s *Session) markStale(z int32) {
+	if !s.stale[z] {
+		s.stale[z] = true
+		s.staleCols = append(s.staleCols, z)
+	}
+	if !s.deltaFull && !s.inDelta[z] {
+		s.inDelta[z] = true
+		s.deltaCand = append(s.deltaCand, z)
+	}
+}
+
+// syncMap brings the embedding map up to date with the verified row
+// vectors. The first sync allocates the map and fills it from the
+// template (fillMap); every sync rewrites the stale columns in one
+// row-major sweep, then pins the map entries of the columns this step
+// verified to their vectors in another (firstUnsynced), so the
+// certificate covers the map itself.
+//
+//ftnet:hotpath
+func (s *Session) syncMap(tpl *template) error {
+	g := s.g
+	n := g.P.N()
+	if s.emb == nil {
+		s.fillMap(tpl)
+	}
+	e := s.emb
+	slices.Sort(s.staleCols)
+	writeColumns(e.Map, g.NumCols, n, s.staleCols, s.rowmap)
+	for _, z32 := range s.staleCols {
+		s.stale[z32] = false
+	}
+	s.staleCols = s.staleCols[:0]
+
+	if len(e.Map) != e.Guest.N() {
+		return fterr.New(fterr.Internal, "embed", "map has %d entries, guest has %d nodes", len(e.Map), e.Guest.N())
+	}
+	slices.Sort(s.verify) // ascending, for the row-major sweep
+	if j, z := firstUnsynced(e.Map, g.NumCols, n, s.verify, s.rowmap); z >= 0 {
+		return fterr.New(fterr.Internal, "core", "embedding out of sync with row vector at guest node (%d,%d)", j, z)
+	}
+	return nil
+}
+
+// fillMap allocates the session's embedding map and fills every column
+// from the template's default rows in one O(N) pass. The stale columns
+// cover every vector that deviates from them, so the sync that follows
+// brings the whole map up to date. A new map is a full rewrite for the
+// wire delta.
+func (s *Session) fillMap(tpl *template) {
+	numCols := s.g.NumCols
+	s.emb = embed.New(s.g.guest)
+	for i, r := range tpl.defaultRows {
+		host := int(r) * numCols
+		row := s.emb.Map[i*numCols : (i+1)*numCols]
+		for z := range row {
+			row[z] = host + z
+		}
+	}
 	s.deltaFull = true
 }
 
-// commit records a successful Eval: the session's rowmap/dev/embedding
-// state now describes bs (placed from boxes), and s.prevDirty (the
-// inter-trial restore list, extended by extractIncremental) covers every
-// column deviating from the template.
+// commit records a successful step: the session's rowmap/dev state now
+// describes bs (placed from boxes), and s.prevDirty (the inter-trial
+// restore list, extended by extractIncremental) covers every column
+// deviating from the template.
 func (s *Session) commit(bs *bands.Set, boxes []*faultBox) {
 	s.cur = bs
 	s.prevBoxes = boxes
 	s.churnCols = s.churnCols[:0]
 }
 
-// DrainDelta reports which embedding columns may have been rewritten
-// since the previous drain, accumulated across every Eval in between —
-// including failed ones, whose extractions can write embedding entries
-// before verification rejects the state. full reports that a
-// non-incremental rewrite happened (the first Eval after a Reset, dense
+// DrainDelta reports which embedding columns may have changed since the
+// previous drain, accumulated across every Eval and Check in between —
+// including failed ones, which can re-derive vectors before verification
+// rejects the state. full reports that a non-incremental rewrite
+// happened (the first step after a Reset, the first map sync, dense
 // mode, template fallback); cols is then nil and the caller must treat
-// every column as changed. Otherwise cols is sorted, deduplicated, caller-owned, and a
-// superset of the truly changed columns (callers comparing maps filter
-// it exactly). Draining resets the accumulator.
+// every column as changed. Otherwise cols is sorted, deduplicated,
+// caller-owned, and a superset of the truly changed columns (callers
+// comparing maps filter it exactly). Draining resets the accumulator.
 func (s *Session) DrainDelta() (cols []int32, full bool) {
 	full = s.deltaFull
 	s.deltaFull = false
 	cand := s.deltaCand
 	s.deltaCand = cand[:0]
+	for _, z32 := range cand {
+		s.inDelta[z32] = false
+	}
 	if full || len(cand) == 0 {
 		return nil, full
 	}
 	slices.Sort(cand)
-	return slices.Clone(slices.Compact(cand)), false
+	return slices.Clone(cand), false
 }
 
 // extractIncremental re-derives row vectors for exactly the columns that
@@ -521,7 +626,6 @@ func (s *Session) DrainDelta() (cols []int32, full bool) {
 func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	g, sc := s.g, s.sc
 	n := g.P.N()
-	numCols := g.NumCols
 	rowmap, rowflat, dev := s.rowmap, s.rowflat, s.devCols
 	base := tpl.defaultRows
 
@@ -572,7 +676,7 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	// Seeding may need several passes: a changed component enclosed by
 	// not-yet-confirmed islands becomes seedable only after those islands
 	// are contacted. assign transfers zFrom -> zTo into zTo's backing slot.
-	//lint:allow hotpath assign is called only inside this function and never escapes; one stack closure per Eval, not per column
+	//lint:allow hotpath assign is called only inside this function and never escapes; one stack closure per step, not per column
 	assign := func(zFrom, zTo int) error {
 		dst := rowflat[zTo*n : (zTo+1)*n]
 		s.oldDev = append(s.oldDev, dev[zTo])
@@ -667,12 +771,10 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	}
 	s.queue = queue
 
-	// Sync the embedding for re-derived columns: deviating vectors are
-	// written out, and a vector restored to base points back at the
-	// template's default rows (equal by value) so its map entries fall
-	// back to the default map. The list is sorted apart from recomp,
-	// which oldDev is indexed in step with.
-	written := s.written[:0]
+	// Mark the map entries of re-derived columns stale: deviating vectors
+	// are written out by the next map sync, and a vector restored to base
+	// points back at the template's default rows (equal by value) so its
+	// map entries fall back to the default map.
 	for i, z32 := range s.recomp {
 		switch {
 		case dev[z32]:
@@ -681,13 +783,9 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 		default:
 			continue
 		}
-		written = append(written, z32)
-		s.deltaCand = append(s.deltaCand, z32)
+		s.markStale(z32)
 	}
-	slices.Sort(written)
-	writeColumns(s.emb.Map, numCols, n, written, rowmap)
-	s.written = written
-	// Extend the inter-trial restore set: anything re-derived this Eval
+	// Extend the inter-trial restore set: anything re-derived this step
 	// may now deviate from the template.
 	gen := bumpGen(s.mark, &s.gen)
 	for _, z32 := range s.prevDirty {
@@ -702,27 +800,25 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	return nil
 }
 
-// verifyIncremental re-certifies the Eval: every deviating column whose
+// verifyIncremental re-certifies the step: every deviating column whose
 // vector was re-derived, every deviating neighbor of a re-derived column
 // (its cross-column edges face new vectors), and every deviating column
 // whose fault membership changed since the last certified state; plus
 // the masked-under-default check for all faults in non-deviating columns.
-// The verified columns' row vectors are then pinned to the embedding map
-// in one row-major sweep, so the certificate covers every map entry of
-// those columns.
+// It leaves the verified columns in s.verify, which Eval's map sync pins
+// to the map.
 //
 //ftnet:hotpath
 func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 	g := s.g
 	dev := s.devCols
-	e := s.emb
 	if err := s.verifyFaultPass(faults, tpl); err != nil {
 		return err
 	}
 
 	gen := bumpGen(s.mark, &s.gen)
 	s.verify = s.verify[:0]
-	//lint:allow hotpath add never escapes verifyIncremental; one stack closure per Eval, not per column
+	//lint:allow hotpath add never escapes verifyIncremental; one stack closure per step, not per column
 	add := func(z int) {
 		if s.mark[z] != gen && dev[z] {
 			s.mark[z] = gen
@@ -739,9 +835,8 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 	for _, z32 := range s.churnCols {
 		add(int(z32))
 	}
-	slices.Sort(s.verify) // ascending, for the row-major sync sweep
 
-	//lint:allow hotpath inSet never escapes verifyIncremental; one stack closure per Eval, not per column
+	//lint:allow hotpath inSet never escapes verifyIncremental; one stack closure per step, not per column
 	inSet := func(z int) bool { return s.mark[z] == gen }
 	for _, z32 := range s.verify {
 		z := int(z32)
@@ -750,12 +845,6 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 			func(zn int) bool { return inSet(zn) && zn < z }); err != nil {
 			return err
 		}
-	}
-	if len(e.Map) != e.Guest.N() {
-		return fterr.New(fterr.Internal, "embed", "map has %d entries, guest has %d nodes", len(e.Map), e.Guest.N())
-	}
-	if j, z := firstUnsynced(e.Map, g.NumCols, g.P.N(), s.verify, s.rowmap); z >= 0 {
-		return fterr.New(fterr.Internal, "core", "embedding out of sync with row vector at guest node (%d,%d)", j, z)
 	}
 	return nil
 }
@@ -772,7 +861,7 @@ func (g *Graph) FindAnchorRotatingFault() int {
 		faults := sc.Faults(g.NumNodes())
 		faults.Add(u)
 		ses.Reset()
-		if _, err := ses.Eval(faults); err == nil && ses.anchorRotated() {
+		if err := ses.Check(faults); err == nil && ses.anchorRotated() {
 			return u
 		}
 	}

@@ -286,3 +286,70 @@ func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 		t.Fatalf("successful Eval left %d churn columns pending", len(ses.churnCols))
 	}
 }
+
+// checkSessionClass compares one Session.Check against a from-scratch
+// dense evaluation of the same fault set (on scDense, or a fresh scratch
+// when nil): the outcome must match, and a failure on either side must
+// be an UnhealthyError.
+func checkSessionClass(t *testing.T, g *Graph, ses *Session, faults *fault.Set, scDense *Scratch, label string) {
+	t.Helper()
+	errIncr := ses.Check(faults)
+	_, errDense := g.ContainTorus(faults, ExtractOptions{Dense: true, Scratch: scDense})
+	if (errIncr == nil) != (errDense == nil) {
+		t.Fatalf("%s: outcome mismatch: session check err=%v, dense err=%v", label, errIncr, errDense)
+	}
+	if errIncr != nil {
+		var us, ud *UnhealthyError
+		if !errors.As(errIncr, &us) || !errors.As(errDense, &ud) {
+			t.Fatalf("%s: error class mismatch: session check %v, dense %v", label, errIncr, errDense)
+		}
+	}
+}
+
+// checkEvalInterleaving drives random add/remove interleavings in which
+// most steps call Check and every every-th step calls Eval: each Check
+// must match the dense outcome class, and each Eval — whose map sync
+// catches up on every Check since the last one — must be bit-identical
+// to the dense pipeline.
+func checkEvalInterleaving(t *testing.T, g *Graph, seeds, steps, every int, stream uint64) {
+	sc := NewScratch(1)
+	scDense := NewScratch(0)
+	ses := g.NewSession(sc, ExtractOptions{})
+	pThm := g.P.TheoremFailureProb()
+	var buf []int
+	for seed := uint64(0); seed < uint64(seeds); seed++ {
+		ses.Reset()
+		faults := sc.Faults(g.NumNodes())
+		r := rng.NewPCG(stream, seed)
+		addRate := pThm * (1 + float64(seed%4)*8)
+		for step := 1; step <= steps; step++ {
+			move := churnStep(r, faults, ses, addRate, &buf)
+			label := fmt.Sprintf("seed=%d step=%d (%s, %d faults)", seed, step, move, faults.Count())
+			if step%every == 0 {
+				sessionDenseStep(t, g, ses, faults, scDense, label)
+			} else {
+				checkSessionClass(t, g, ses, faults, scDense, label)
+			}
+		}
+	}
+}
+
+// TestSessionCheckEvalInterleaving2D is the golden suite for the
+// map-free step at d=2: 20 seeds of random add/remove interleavings,
+// three Checks for every Eval, crossing unhealthy states and anchor
+// rotations. Each seed ends on two Checks, so the next seed's first Eval
+// also catches up on Checks made before its Reset. It runs on
+// FuzzSession's 49k-node host: under -race, the dense comparator of
+// every step on the 280k-node B² host would cost about a minute.
+func TestSessionCheckEvalInterleaving2D(t *testing.T) {
+	checkEvalInterleaving(t, mustGraph(t, testParams2DTight()), 20, 14, 4, 2025)
+}
+
+// TestSessionCheckEvalInterleaving3D is one seed of the same suite on
+// the 9.4M-node d=3 host.
+func TestSessionCheckEvalInterleaving3D(t *testing.T) {
+	if testing.Short() {
+		t.Skip("9.4M-node instance")
+	}
+	checkEvalInterleaving(t, mustGraph(t, Params{D: 3, W: 4, Pitch: 16, Scale: 1}), 1, 6, 3, 3025)
+}

@@ -9,7 +9,9 @@
 // previous rung's copy-on-write bands, row vectors and certification
 // intact, paying only for the columns whose band values changed. The
 // ladder therefore costs little more than its most expensive rung, where
-// independent per-rate evaluation pays every rung in full.
+// independent per-rate evaluation pays every rung in full. Every rung and
+// probe steps with Session.Check: a trial only asks whether the fault
+// set is tolerated, so the embedding map is never built.
 //
 // Execution rides on internal/parallel's shard-ordered deterministic
 // commit (RunLadder): per-rung Wilson early stopping and the aggregated
@@ -47,7 +49,7 @@ type Config struct {
 	TargetCI float64
 	// Independent disables the nested coupling: every rung of every trial
 	// draws a fresh Bernoulli fault set and evaluates it from scratch (a
-	// session Reset before its Eval). This is the ablation baseline the
+	// session Reset before its Check). This is the ablation baseline the
 	// coupled engine is benchmarked against.
 	Independent bool
 	// Dense builds each worker's session in dense mode, so every rung and
@@ -92,19 +94,18 @@ type curveScratch struct {
 }
 
 // newCurveScratch builds one worker's state. It is the only reader of
-// cfg.Dense: a dense session runs the whole-host pipeline on every Eval.
+// cfg.Dense: a dense session runs the whole-host pipeline on every Check.
 func newCurveScratch(g *core.Graph, cfg Config) *curveScratch {
 	sc := core.NewScratch(1)
 	return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
 }
 
 // evalFresh classifies faults evaluated from scratch: a session Reset,
-// so the Eval diffs against commit zero (the all-defaults template)
-// rather than the worker's previous state, then the Eval.
+// so the step diffs against commit zero (the all-defaults template)
+// rather than the worker's previous state, then the Check.
 func (cs *curveScratch) evalFresh(faults *fault.Set) (stats.Outcome, error) {
 	cs.ses.Reset()
-	_, err := cs.ses.Eval(faults)
-	return Classify(err)
+	return Classify(cs.ses.Check(faults))
 }
 
 // SurvivalCurve measures survival of g's Theorem 2 pipeline at every rate
@@ -164,8 +165,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 				if stopped[r] {
 					continue
 				}
-				_, err = cs.ses.Eval(faults)
-				if out[r], err = Classify(err); err != nil {
+				if out[r], err = Classify(cs.ses.Check(faults)); err != nil {
 					return err
 				}
 			}
