@@ -139,16 +139,20 @@ type Host interface {
 }
 
 // Generator draws the event sequence of one trial and applies it to a
-// fault.Charger. It owns the delta buffers, so steady-state stepping
-// allocates nothing (bursts excepted — they build a pattern set). A
-// Generator must not be shared by concurrent trials; call Reset at each
-// trial start.
+// fault.Charger. It owns the delta buffers and the set node bursts are
+// placed in, so steady-state stepping allocates nothing but a burst
+// pattern's small coordinate buffers. A Generator must not be shared by
+// concurrent trials; call Reset at each trial start.
 type Generator struct {
 	proc     Process
 	shape    grid.Shape // host node grid, for spatially structured bursts
 	host     Host       // adjacency for edge events
 	numEdges int        // n * degree / 2
 	now      float64
+
+	// burst holds the current node burst's pattern: sized on the first
+	// burst, cleared before each one (O(occupied words), not O(n)).
+	burst *fault.Set
 
 	added, cleared       []int
 	effAdded, effCleared []int
@@ -245,8 +249,12 @@ func (gen *Generator) NextMixed(r rng.Source, ch *fault.Charger) (Event, error) 
 		}
 		ev.Cleared = append(ev.Cleared, v)
 	case u < rateArrival+rateRepair+gen.proc.BurstRate:
-		burst, err := fault.Adversarial(gen.proc.BurstPattern, gen.shape, gen.proc.BurstSize, 2, r)
-		if err != nil {
+		if gen.burst == nil {
+			gen.burst = fault.NewSet(gen.shape.Size())
+		}
+		burst := gen.burst
+		burst.Clear()
+		if err := fault.AdversarialInto(burst, gen.proc.BurstPattern, gen.shape, gen.proc.BurstSize, 2, r); err != nil {
 			return Event{}, fterr.Wrap(fterr.Invalid, "churn.burst", err)
 		}
 		burst.ForEach(func(v int) {

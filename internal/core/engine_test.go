@@ -114,10 +114,10 @@ func TestEngineStampGenerationWraps(t *testing.T) {
 	evalSessionBoth(t, g, ses, faults, "after the wrap")
 }
 
-// TestEngineRowStampGenerationWraps: the same for the verifier's per-row
-// stamps. Counter -1 makes the first verified column's generation 0, the
-// stamp of every row no verified column has held yet, so an injective
-// column would be reported as not injective.
+// TestEngineRowStampGenerationWraps: a warm step whose verified columns
+// unmask rows no earlier verified column held stays bit-identical to the
+// dense oracle. The name predates the winding-count check, which keeps
+// no per-row stamps to wrap.
 func TestEngineRowStampGenerationWraps(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	sc := NewScratch(1)
@@ -128,13 +128,93 @@ func TestEngineRowStampGenerationWraps(t *testing.T) {
 	if len(ses.verify) == 0 {
 		t.Fatal("the warm eval verified no column")
 	}
-	ses.colGen = -1
 	// Another slab: its deviating columns unmask rows that no column
 	// verified so far holds.
 	addNoted(g, ses, faults, 60, 130)
 	evalSessionBoth(t, g, ses, faults, "after the wrap")
 	if len(ses.verify) == 0 {
 		t.Fatal("the eval after the wrap verified no column")
+	}
+}
+
+// TestEngineVerifyColumnRejects: verifyColumn's per-row pass rejects a
+// corrupted row vector of a deviating column with an internal error. Each
+// corruption targets one check of the winding argument:
+//   - a repeated row, a zero step that the step rule rejects while the
+//     vector still winds once;
+//   - a vector that winds twice, every step a legal torus step or
+//     vertical jump, so only the winding count sees the repeated rows;
+//   - a backward step, which the engine never produces: the step rule
+//     rejects it, and since it wraps past m the winding count does too.
+//
+// The pair checks are skipped and the fault check is off, so only the
+// step rule and the winding count can fire.
+func TestEngineVerifyColumnRejects(t *testing.T) {
+	g := mustGraph(t, testParams2D())
+	sc := NewScratch(1)
+	ses := g.NewSession(sc, ExtractOptions{})
+	faults := sc.Faults(g.NumNodes())
+	faults.Add(g.NodeIndex(300, 250))
+	if _, err := ses.Eval(faults); err != nil {
+		t.Fatal(err)
+	}
+	n, m, w := g.P.N(), g.P.M(), g.P.W
+	z := -1
+	for _, z32 := range ses.recomp {
+		if ses.devCols[z32] {
+			z = int(z32)
+			break
+		}
+	}
+	if z < 0 {
+		t.Fatal("the fault left no deviating column")
+	}
+	rows := ses.rowmap[z]
+	if &rows[0] != &ses.rowflat[z*n] {
+		t.Fatalf("column %d's vector is not its rowflat slot", z)
+	}
+	skipAll := func(int) bool { return true }
+	if err := ses.verifyColumn(faults, z, false, skipAll); err != nil {
+		t.Fatalf("intact column %d: %v", z, err)
+	}
+	// A row followed by two plain torus steps, neither of them wrapping.
+	i := 0
+	for i < n-2 && (rows[i+1] != rows[i]+1 || rows[i+2] != rows[i]+2) {
+		i++
+	}
+	if i == n-2 {
+		t.Fatal("the column has no two consecutive plain steps")
+	}
+	orig := slices.Clone(rows)
+	for _, c := range []struct {
+		name    string
+		corrupt func(r []int32)
+	}{
+		{"repeated row", func(r []int32) { r[i+1] = r[i] }},
+		{"winds twice", func(r []int32) {
+			// n + J·w = 2m with J jumps of w+1 and n-J plain steps.
+			jumps := n/w + 2*g.P.K()
+			v := int(r[0])
+			for j := range r {
+				r[j] = int32(v % m)
+				if j < jumps {
+					v += w + 1
+				} else {
+					v++
+				}
+			}
+		}},
+		{"backward step", func(r []int32) { r[i+2] = r[i] }},
+	} {
+		copy(rows, orig)
+		c.corrupt(rows)
+		if err := ses.verifyColumn(faults, z, false, skipAll); !fterr.Is(err, fterr.Internal) {
+			t.Errorf("%s: verifyColumn = %v, want an internal error", c.name, err)
+		}
+	}
+	copy(rows, orig)
+	if err := ses.verifyColumn(faults, z, false, skipAll); err != nil {
+		t.Fatalf("restored column %d: %v", z, err)
 	}
 }
 

@@ -266,6 +266,16 @@ func int32Equal(a, b []int32) bool {
 // vectors in one row-major sweep (firstUnsynced). hasFaults (from
 // verifyFaultPass) gates the per-row fault check.
 //
+// Injectivity is checked by the winding count, which the Lemma 6 anchor
+// order makes exact: every vector the engine builds is cyclically
+// increasing from its first entry, so each cyclic step rows[i] →
+// rows[i+1] must rise by exactly 1 modulo m (a torus edge) or by w+1 (a
+// vertical jump). Such a cycle winds around the host column a whole
+// number of times, counted by the steps that wrap past m, and it visits
+// n distinct rows exactly when it winds once. The step rule is at least
+// as strict as the same-column condition of Graph.Adjacent; it also
+// rejects a backward step, which the engine never produces.
+//
 //ftnet:hotpath
 func (s *Session) verifyColumn(faults *fault.Set, z int, hasFaults bool, skipPair func(zn int) bool) error {
 	g := s.g
@@ -278,38 +288,33 @@ func (s *Session) verifyColumn(faults *fault.Set, z int, hasFaults bool, skipPai
 	if len(rows) != n {
 		return fterr.New(fterr.Internal, "core", "column %d row vector has %d entries, want %d", z, len(rows), n)
 	}
-	colSeen, gen := s.colSeen, bumpGen(s.colSeen, &s.colGen)
-	// One fused pass: membership, injectivity, fault avoidance, and the
-	// dimension-0 guest edge to the next row (cyclically) — a torus step
-	// or a vertical jump, the same-column conditions of Graph.Adjacent,
-	// with m and w hoisted out of the loop.
-	for i := 0; i < n; i++ {
-		r := int(rows[i])
-		if r < 0 || r >= m {
+	// One fused pass: range, fault avoidance, and the forward step from
+	// the previous row (cyclically) that realizes its dimension-0 guest
+	// edge, counting the steps that wrap past m.
+	wraps := 0
+	prev := int(rows[n-1])
+	for i, r32 := range rows {
+		r := int(r32)
+		if uint(r) >= uint(m) {
 			return fterr.New(fterr.Internal, "embed", "guest node (%d,%d) maps to out-of-range host row %d", i, z, r)
 		}
-		u := r*numCols + z
-		if colSeen[r] == gen {
-			return fterr.New(fterr.Internal, "embed", "host node %d hosts two guest nodes (not injective)", u)
+		if hasFaults && faults.Has(r*numCols+z) {
+			return fterr.New(fterr.Internal, "embed", "guest node %d maps to faulty host node %d", i*numCols+z, r*numCols+z)
 		}
-		colSeen[r] = gen
-		if hasFaults && faults.Has(u) {
-			return fterr.New(fterr.Internal, "embed", "guest node %d maps to faulty host node %d", i*numCols+z, u)
+		step := r - prev
+		if step < 0 {
+			step += m
+			wraps++
 		}
-		i2 := i + 1
-		if i2 == n {
-			i2 = 0
+		if step != 1 && (step != w+1 || g.DisableVJump) {
+			i0 := (i + n - 1) % n
+			return fterr.New(fterr.Internal, "embed", "guest edge (%d,%d)-(%d,%d) maps to host rows %d,%d, not one forward torus step or vertical jump",
+				i0, z, i, z, prev, r)
 		}
-		r2 := int(rows[i2])
-		if r2-r == 1 {
-			continue // plain torus step, the overwhelmingly common case
-		}
-		di := grid.Dist(r, r2, m)
-		if di == 1 || (di == w+1 && !g.DisableVJump) {
-			continue
-		}
-		return fterr.New(fterr.Internal, "embed", "guest edge (%d,%d)-(%d,%d) maps to non-adjacent host rows %d,%d",
-			i, z, i2, z, rows[i], rows[i2])
+		prev = r
+	}
+	if wraps != 1 {
+		return fterr.New(fterr.Internal, "embed", "column %d row vector winds %d times around the host column (not injective)", z, wraps)
 	}
 	// Cross-column edges. Column adjacency is checked once per pair; the
 	// per-row condition is then Adjacent's cross-column branch (torus

@@ -95,15 +95,16 @@ func (g *Graph) placeBands(faults *fault.Set, sc *Scratch) (*bands.Set, *PlaceRe
 // isolation, pigeonhole segments, padding — and returns the finished box
 // list ready for interpolation. The boxes are freshly allocated each
 // call (the delta-evaluation engine retains the previous step's list for
-// box-level diffing); only the odometer and bitmap buffers come from sc.
+// box-level diffing); the tile table, grouping and coordinate buffers
+// come from sc.
 func (g *Graph) buildBoxes(faults *fault.Set, sc *Scratch) ([]*faultBox, *PlaceReport, error) {
 	rep := &PlaceReport{Faults: faults.Count()}
-	tileShape := g.TileShape()
+	tileShape := g.tileShape
 
 	faultyTiles := g.faultyTiles(faults, sc)
 	rep.FaultyTiles = len(faultyTiles)
 
-	boxes := initialBoxes(faultyTiles, tileShape, g.chebyshevDeltas())
+	boxes := initialBoxes(faultyTiles, tileShape, g.chebyshevDeltas(), sc)
 	var err error
 	for pass := 0; ; pass++ {
 		rep.MergePasses = pass + 1
@@ -117,7 +118,7 @@ func (g *Graph) buildBoxes(faults *fault.Set, sc *Scratch) ([]*faultBox, *PlaceR
 		if err := g.checkBoxCaps(boxes, tileShape); err != nil {
 			return nil, rep, err
 		}
-		if err := g.assignFaultRows(boxes, faults, tileShape); err != nil {
+		if err := g.assignFaultRows(boxes, faults, tileShape, sc); err != nil {
 			return nil, rep, err
 		}
 		extended := false
@@ -158,107 +159,139 @@ func (g *Graph) buildBoxes(faults *fault.Set, sc *Scratch) ([]*faultBox, *PlaceR
 	return boxes, rep, nil
 }
 
-// faultyTiles returns the flat tile indices containing at least one fault.
+// faultyTiles returns the sorted flat indices of the tiles containing at
+// least one fault, and numbers them 1, 2, … in that order in the
+// scratch's tile table (sc.tileSeen) for initialBoxes, which zeroes the
+// entries again.
 func (g *Graph) faultyTiles(faults *fault.Set, sc *Scratch) []int {
 	t := g.P.Tile()
-	tileShape := g.TileShape()
-	colTileShape := grid.Shape(tileShape[1:])
-	seen := sc.tileSeenBuf(tileShape.Size())
+	colTileShape := g.tileShape[1:]
+	colTiles := colTileShape.Size()
+	index := sc.tileSeenBuf(g.tileShape.Size())
 	out := sc.tileList[:0]
-	coord := make([]int, g.P.D-1)
-	tcoord := make([]int, g.P.D-1)
+	coord, tcoord := sc.coordBufs(g.P.D - 1)
 	faults.ForEach(func(idx int) {
 		i, z := g.NodeOf(idx)
 		g.ColShape.Coord(z, coord)
 		for j, c := range coord {
 			tcoord[j] = c / t
 		}
-		flat := (i/t)*colTileShape.Size() + colTileShape.Index(tcoord)
-		if !seen[flat] {
-			seen[flat] = true
+		flat := (i/t)*colTiles + colTileShape.Index(tcoord)
+		if index[flat] == 0 {
+			index[flat] = -1
 			out = append(out, flat)
 		}
 	})
-	// Restore the bitmap's all-false invariant in O(faulty tiles).
-	for _, flat := range out {
-		seen[flat] = false
-	}
+	numberTiles(index, out)
 	sc.tileList = out
-	sort.Ints(out)
 	return out
 }
 
+// numberTiles sorts the faulty tiles and numbers them 1, 2, … in that
+// order in the tile table, the input initialBoxes expects.
+func numberTiles(index []int32, tiles []int) {
+	sort.Ints(tiles)
+	for k, t := range tiles {
+		index[t] = int32(k + 1)
+	}
+}
+
 // initialBoxes groups faulty tiles into Chebyshev-connected components and
-// returns each component's minimal cyclic bounding box. deltas is the
-// 3^d-1 neighbor-offset table (Graph.chebyshevDeltas).
-func initialBoxes(faultyTiles []int, tileShape grid.Shape, deltas [][]int) []*faultBox {
-	if len(faultyTiles) == 0 {
+// returns each component's minimal cyclic bounding box, in the order of
+// the components' first tiles. tiles is sorted and numbered 1, 2, … in
+// sc's tile table (faultyTiles); initialBoxes zeroes those entries before
+// it returns. deltas is the 3^d-1 neighbor-offset table
+// (Graph.chebyshevDeltas).
+func initialBoxes(tiles []int, tileShape grid.Shape, deltas [][]int, sc *Scratch) []*faultBox {
+	k := len(tiles)
+	if k == 0 {
 		return nil
 	}
-	index := make(map[int]int, len(faultyTiles))
-	for i, t := range faultyTiles {
-		index[t] = i
-	}
-	parent := make([]int, len(faultyTiles))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 	d := len(tileShape)
-	coord := make([]int, d)
-	ncoord := make([]int, d)
-	// Enumerate the 3^d-1 Chebyshev neighbors of each faulty tile.
-	for i, t := range faultyTiles {
-		tileShape.Coord(t, coord)
+	index := sc.tileSeen
+	parent, comp, members, ends, coords, cover := sc.groupBufs(k, d)
+	ncoord, _ := sc.coordBufs(d)
+	for i, t := range tiles {
+		parent[i] = int32(i)
+		tileShape.Coord(t, coords[i*d:(i+1)*d])
+	}
+	// Union every tile with its faulty Chebyshev neighbors, always toward
+	// the smaller index, so each root is its component's first tile.
+	for i := range tiles {
+		coord := coords[i*d : (i+1)*d]
 		for _, delta := range deltas {
-			for j := range coord {
-				ncoord[j] = grid.Add(coord[j], delta[j], tileShape[j])
+			for j, c := range coord {
+				ncoord[j] = grid.Add(c, delta[j], tileShape[j])
 			}
-			if ni, ok := index[tileShape.Index(ncoord)]; ok {
-				union(i, ni)
+			if ni := index[tileShape.Index(ncoord)]; ni != 0 {
+				ra, rb := findRoot(parent, int32(i)), findRoot(parent, ni-1)
+				if ra < rb {
+					parent[rb] = ra
+				} else {
+					parent[ra] = rb
+				}
 			}
 		}
 	}
-	groups := make(map[int][]int)
-	for i, t := range faultyTiles {
-		r := find(i)
-		groups[r] = append(groups[r], t)
+	for _, t := range tiles {
+		index[t] = 0
 	}
-	var boxes []*faultBox
-	// Deterministic order: iterate roots by their first member.
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
+	// Number the components in first-tile order, then bucket the tiles by
+	// component, each bucket in tile order (a counting sort): component
+	// c's tiles end up in members[ends[c-1]:ends[c]].
+	nc := int32(0)
+	for i := range tiles {
+		if r := findRoot(parent, int32(i)); r == int32(i) {
+			comp[i] = nc
+			nc++
+		} else {
+			comp[i] = comp[r]
+		}
 	}
-	sort.Slice(roots, func(a, b int) bool { return groups[roots[a]][0] < groups[roots[b]][0] })
-	for _, r := range roots {
-		members := groups[r]
-		b := &faultBox{lo: make([]int, d), ext: make([]int, d)}
-		coords := make([]int, len(members))
-		buf := make([]int, d)
+	ends = ends[:nc]
+	clear(ends)
+	for _, c := range comp {
+		ends[c]++
+	}
+	sum := int32(0)
+	for c, cnt := range ends {
+		ends[c] = sum
+		sum += cnt
+	}
+	for i, c := range comp {
+		members[ends[c]] = int32(i)
+		ends[c]++
+	}
+	// The boxes are fresh (the session keeps the previous step's list);
+	// one allocation backs every box's lo and ext.
+	boxes := make([]*faultBox, nc)
+	store := make([]faultBox, nc)
+	loExt := make([]int, 2*d*int(nc))
+	start := int32(0)
+	for c := range boxes {
+		b := &store[c]
+		b.lo = loExt[2*d*c : 2*d*c+d : 2*d*c+d]
+		b.ext = loExt[2*d*c+d : 2*d*(c+1) : 2*d*(c+1)]
+		group := members[start:ends[c]]
 		for dim := 0; dim < d; dim++ {
-			for i, m := range members {
-				tileShape.Coord(m, buf)
-				coords[i] = buf[dim]
+			for j, m := range group {
+				cover[j] = coords[int(m)*d+dim]
 			}
-			b.lo[dim], b.ext[dim] = grid.CyclicCover(coords, tileShape[dim])
+			b.lo[dim], b.ext[dim] = grid.CyclicCover(cover[:len(group)], tileShape[dim])
 		}
-		boxes = append(boxes, b)
+		boxes[c] = b
+		start = ends[c]
 	}
 	return boxes
+}
+
+// findRoot returns x's union-find root, halving the path on the way.
+func findRoot(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
 }
 
 func genChebyshevDeltas(d int) [][]int {
@@ -347,7 +380,7 @@ func (g *Graph) checkBoxCaps(boxes []*faultBox, tileShape grid.Shape) error {
 
 // assignFaultRows recomputes, for every box, the sorted distinct relative
 // rows containing faults. Every fault must land inside exactly one box.
-func (g *Graph) assignFaultRows(boxes []*faultBox, faults *fault.Set, tileShape grid.Shape) error {
+func (g *Graph) assignFaultRows(boxes []*faultBox, faults *fault.Set, tileShape grid.Shape, sc *Scratch) error {
 	t := g.P.Tile()
 	m := g.P.M()
 	for _, b := range boxes {
@@ -355,7 +388,7 @@ func (g *Graph) assignFaultRows(boxes []*faultBox, faults *fault.Set, tileShape 
 		b.segs = nil
 		b.perSlab = nil
 	}
-	coord := make([]int, g.P.D-1)
+	coord, _ := sc.coordBufs(g.P.D - 1)
 	var outErr error
 	faults.ForEach(func(idx int) {
 		if outErr != nil {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,7 +50,7 @@ func TestChebyshevDeltas(t *testing.T) {
 
 func TestInitialBoxesSingleton(t *testing.T) {
 	shape := grid.Shape{10, 8}
-	boxes := initialBoxes([]int{3*8 + 5}, shape, genChebyshevDeltas(2))
+	boxes := tileBoxes([]int{3*8 + 5}, shape)
 	if len(boxes) != 1 {
 		t.Fatalf("%d boxes", len(boxes))
 	}
@@ -61,7 +64,7 @@ func TestInitialBoxesMergesComponents(t *testing.T) {
 	shape := grid.Shape{10, 8}
 	// Tiles (2,2) and (3,3) are diagonal: one component. Tile (7,7) is far.
 	tiles := []int{2*8 + 2, 3*8 + 3, 7*8 + 7}
-	boxes := initialBoxes(tiles, shape, genChebyshevDeltas(2))
+	boxes := tileBoxes(tiles, shape)
 	if len(boxes) != 2 {
 		t.Fatalf("%d boxes, want 2", len(boxes))
 	}
@@ -70,12 +73,157 @@ func TestInitialBoxesMergesComponents(t *testing.T) {
 func TestInitialBoxesWrap(t *testing.T) {
 	shape := grid.Shape{10, 8}
 	// Tiles (9,7) and (0,0) touch across both wraps.
-	boxes := initialBoxes([]int{9*8 + 7, 0}, shape, genChebyshevDeltas(2))
+	boxes := tileBoxes([]int{9*8 + 7, 0}, shape)
 	if len(boxes) != 1 {
 		t.Fatalf("%d boxes, want 1 (wrap adjacency)", len(boxes))
 	}
 	if boxes[0].ext[0] != 2 || boxes[0].ext[1] != 2 {
 		t.Errorf("wrap box extents = %v", boxes[0].ext)
+	}
+}
+
+// tileBoxes runs initialBoxes on the faulty tiles the way buildBoxes
+// does: sorted and numbered in a scratch's tile table (numberTiles).
+func tileBoxes(tiles []int, shape grid.Shape) []*faultBox {
+	sc := NewScratch(1)
+	tiles = slices.Clone(tiles)
+	numberTiles(sc.tileSeenBuf(shape.Size()), tiles)
+	return initialBoxes(tiles, shape, genChebyshevDeltas(len(shape)), sc)
+}
+
+// initialBoxesRef is the map-based grouping initialBoxes replaced: a
+// map from tile to position for the neighbor lookups, a map of member
+// lists per root, and the roots sorted by first member.
+func initialBoxesRef(faultyTiles []int, tileShape grid.Shape, deltas [][]int) []*faultBox {
+	if len(faultyTiles) == 0 {
+		return nil
+	}
+	index := make(map[int]int, len(faultyTiles))
+	for i, t := range faultyTiles {
+		index[t] = i
+	}
+	parent := make([]int, len(faultyTiles))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	d := len(tileShape)
+	coord := make([]int, d)
+	ncoord := make([]int, d)
+	for i, t := range faultyTiles {
+		tileShape.Coord(t, coord)
+		for _, delta := range deltas {
+			for j := range coord {
+				ncoord[j] = grid.Add(coord[j], delta[j], tileShape[j])
+			}
+			if ni, ok := index[tileShape.Index(ncoord)]; ok {
+				union(i, ni)
+			}
+		}
+	}
+	groups := make(map[int][]int)
+	for i, t := range faultyTiles {
+		r := find(i)
+		groups[r] = append(groups[r], t)
+	}
+	var boxes []*faultBox
+	roots := make([]int, 0, len(groups))
+	for r := range groups {
+		roots = append(roots, r)
+	}
+	sort.Slice(roots, func(a, b int) bool { return groups[roots[a]][0] < groups[roots[b]][0] })
+	for _, r := range roots {
+		members := groups[r]
+		b := &faultBox{lo: make([]int, d), ext: make([]int, d)}
+		coords := make([]int, len(members))
+		buf := make([]int, d)
+		for dim := 0; dim < d; dim++ {
+			for i, m := range members {
+				tileShape.Coord(m, buf)
+				coords[i] = buf[dim]
+			}
+			b.lo[dim], b.ext[dim] = grid.CyclicCover(coords, tileShape[dim])
+		}
+		boxes = append(boxes, b)
+	}
+	return boxes
+}
+
+// TestInitialBoxesMatchesReference pins the table-based grouping to the
+// map-based one it replaced: on random faulty-tile sets at d=2 and d=3,
+// sparse to dense, and on crafted wrap-around and diagonal contacts, both
+// return the same boxes (lo, ext) in the same order, and the scratch's
+// tile table is all-zero afterwards. One scratch serves every case, so an
+// entry left behind would also corrupt the cases after it.
+func TestInitialBoxesMatchesReference(t *testing.T) {
+	sc := NewScratch(1)
+	check := func(name string, tiles []int, shape grid.Shape) {
+		t.Helper()
+		tiles = slices.Clone(tiles)
+		index := sc.tileSeenBuf(shape.Size())
+		numberTiles(index, tiles)
+		deltas := genChebyshevDeltas(len(shape))
+		got := initialBoxes(tiles, shape, deltas, sc)
+		want := initialBoxesRef(tiles, shape, deltas)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d boxes, reference %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i].lo, want[i].lo) || !slices.Equal(got[i].ext, want[i].ext) {
+				t.Fatalf("%s: box %d = lo %v ext %v, reference lo %v ext %v",
+					name, i, got[i].lo, got[i].ext, want[i].lo, want[i].ext)
+			}
+		}
+		for ti, v := range index {
+			if v != 0 {
+				t.Fatalf("%s: tile table entry %d = %d after initialBoxes, want 0", name, ti, v)
+			}
+		}
+	}
+
+	// Crafted contacts: across both wraps diagonally, a diagonal chain,
+	// and a d=3 corner touching its antipode through all three wraps.
+	s2 := grid.Shape{10, 8}
+	check("diagonal wrap", []int{9*8 + 7, 0, 4*8 + 4}, s2)
+	check("diagonal chain", []int{2*8 + 2, 3*8 + 3, 4*8 + 2, 7*8 + 7, 6*8 + 0}, s2)
+	s3 := grid.Shape{5, 4, 6}
+	check("3d antipodes", []int{s3.Index([]int{4, 3, 5}), s3.Index([]int{0, 0, 0}), s3.Index([]int{2, 1, 3})}, s3)
+
+	r := rng.New(17)
+	wrapped := 0
+	for _, shape := range []grid.Shape{{7, 5}, {12, 9}, {3, 4}, {5, 4, 6}, {4, 3, 3}, {8, 7, 5}} {
+		for round := 0; round < 40; round++ {
+			p := 0.02 + 0.5*float64(round%8)/8
+			var tiles []int
+			for ti := 0; ti < shape.Size(); ti++ {
+				if r.Float64() < p {
+					tiles = append(tiles, ti)
+				}
+			}
+			check(fmt.Sprintf("shape %v round %d", shape, round), tiles, shape)
+			for _, b := range initialBoxesRef(tiles, shape, genChebyshevDeltas(len(shape))) {
+				for dim, side := range shape {
+					if b.ext[dim] < side && b.lo[dim]+b.ext[dim] > side {
+						wrapped++
+					}
+				}
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no random box wrapped around the tile grid; the cases miss the wrap")
 	}
 }
 

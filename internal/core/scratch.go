@@ -47,9 +47,16 @@ type Scratch struct {
 	seen    []bool
 	emb     *embed.Embedding
 
-	// Placement buffers.
-	tileSeen    []bool // faultyTiles dedupe bitmap (kept all-false)
+	// Placement buffers. tileSeen is the dense faulty-tile table over the
+	// tile grid: faultyTiles numbers the sorted faulty tiles 1, 2, … in
+	// it, initialBoxes looks Chebyshev neighbors up in it and zeroes the
+	// entries again, so it is all-zero between calls.
+	tileSeen    []int32
 	tileList    []int
+	tileGroup   []int32 // initialBoxes: union-find parents, component numbers, buckets
+	tileCoords  []int   // initialBoxes: each faulty tile's coordinates, then one dimension's cover input
+	coordA      []int   // faultyTiles, initialBoxes and assignFaultRows coordinate buffers
+	coordB      []int
 	pinnedVals  [][]float64 // dense pinned-corner table (kept all-nil)
 	pinnedKeys  []int
 	localsArena []float64 // backing for the per-(box,slab) pinned locals
@@ -137,14 +144,38 @@ func (sc *Scratch) embedding(guest *torus.Graph) *embed.Embedding {
 	return sc.emb
 }
 
-// tileSeenBuf returns an all-false bitmap over the tile grid. Callers
-// must clear the bits they set before returning (faultyTiles does), so
-// the all-false invariant costs O(faulty tiles), not O(tiles).
-func (sc *Scratch) tileSeenBuf(numTiles int) []bool {
+// tileSeenBuf returns the all-zero faulty-tile table over the tile grid.
+// Whoever sets entries zeroes them again (initialBoxes does), so the
+// all-zero invariant costs O(faulty tiles), not O(tiles).
+func (sc *Scratch) tileSeenBuf(numTiles int) []int32 {
 	if cap(sc.tileSeen) < numTiles {
-		sc.tileSeen = make([]bool, numTiles)
+		sc.tileSeen = make([]int32, numTiles)
 	}
 	return sc.tileSeen[:numTiles]
+}
+
+// groupBufs returns initialBoxes' work slices for k faulty tiles of a
+// d-dimensional tile grid: union-find parents, component numbers, the
+// tiles bucketed by component and the bucket ends (k entries each), the
+// tiles' coordinates (k·d) and one dimension's cover input (k).
+func (sc *Scratch) groupBufs(k, d int) (parent, comp, members, ends []int32, coords, cover []int) {
+	if cap(sc.tileGroup) < 4*k {
+		sc.tileGroup = make([]int32, 4*k)
+	}
+	if cap(sc.tileCoords) < k*(d+1) {
+		sc.tileCoords = make([]int, k*(d+1))
+	}
+	g, c := sc.tileGroup[:4*k], sc.tileCoords[:k*(d+1)]
+	return g[:k], g[k : 2*k], g[2*k : 3*k], g[3*k:], c[:k*d], c[k*d:]
+}
+
+// coordBufs returns two n-sized coordinate work slices.
+func (sc *Scratch) coordBufs(n int) (a, b []int) {
+	if cap(sc.coordA) < n {
+		sc.coordA = make([]int, n)
+		sc.coordB = make([]int, n)
+	}
+	return sc.coordA[:n], sc.coordB[:n]
 }
 
 // usedBuf returns a false-filled bool slice of length n for the

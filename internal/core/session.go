@@ -94,11 +94,13 @@ const (
 // alternate between them so the previous state's values survive for
 // diffing), the row vectors and deviation flags they give, and the
 // embedding map Eval keeps in step with the vectors — and the
-// bookkeeping of which columns each step actually recomputed. It borrows
-// only its Scratch's per-call buffers, for the length of one step, so
-// other calls on that Scratch leave the commit alone. Like a Scratch, a
-// Session must never be shared by concurrent trials; it stays valid
-// across trials (call Reset at each trial start).
+// bookkeeping of which columns each step actually recomputed, kept in
+// per-column generation stamps; the verifier checks a column's
+// injectivity by its winding count (verifyColumn) and keeps no per-row
+// state. It borrows only its Scratch's per-call buffers, for the length
+// of one step, so other calls on that Scratch leave the commit alone.
+// Like a Scratch, a Session must never be shared by concurrent trials;
+// it stays valid across trials (call Reset at each trial start).
 type Session struct {
 	g    *Graph
 	sc   *Scratch
@@ -160,8 +162,6 @@ type Session struct {
 	verify  []int32
 
 	cleanVec []int32 // island-probe vector (extractIncremental)
-	colSeen  []int32 // per-row stamps of the column verifyColumn checks
-	colGen   int32
 	faultCol []int32 // per-column stamps of columns holding a fault (verifyFaultPass)
 	faultGen int32
 }
@@ -489,7 +489,6 @@ func (s *Session) begin(tpl *template) {
 		s.mark = make([]int32, numCols)
 		s.state = make([]uint8, numCols)
 		s.faultCol = make([]int32, numCols)
-		s.colSeen = make([]int32, p.M())
 		s.cleanVec = make([]int32, n)
 		s.devCols = make([]bool, numCols)
 		s.stale = make([]bool, numCols)

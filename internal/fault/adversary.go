@@ -59,17 +59,31 @@ func AllPatterns() []Pattern {
 // the pattern. classMod is the residue modulus attacked by ClassSpread
 // (pass b+1 from the construction; any value >= 2 is accepted).
 func Adversarial(p Pattern, shape grid.Shape, k int, classMod int, r rng.Source) (*Set, error) {
-	n := shape.Size()
-	if k > n {
-		return nil, fterr.New(fterr.Invalid, "fault", "%d faults exceed %d nodes", k, n)
+	s := NewSet(shape.Size())
+	if err := AdversarialInto(s, p, shape, k, classMod, r); err != nil {
+		return nil, err
 	}
-	s := NewSet(n)
+	return s, nil
+}
+
+// AdversarialInto is Adversarial placing the faults into s, which must be
+// empty and span the shape's nodes, instead of into a new set. It draws
+// the same stream and places the same faults, so a caller that places
+// many bursts can keep one set and Clear it between them.
+func AdversarialInto(s *Set, p Pattern, shape grid.Shape, k int, classMod int, r rng.Source) error {
+	n := shape.Size()
+	if s.Len() != n || s.Count() != 0 {
+		return fterr.New(fterr.Invalid, "fault", "target set holds %d faults over %d nodes, want an empty set over %d", s.Count(), s.Len(), n)
+	}
+	if k > n {
+		return fterr.New(fterr.Invalid, "fault", "%d faults exceed %d nodes", k, n)
+	}
 	d := len(shape)
 	coord := make([]int, d)
 	switch p {
 	case Uniform:
 		if err := s.ExactRandom(r, k); err != nil {
-			return nil, err
+			return err
 		}
 	case Cluster:
 		// Fill a near-cubical box anchored at a random corner.
@@ -104,7 +118,7 @@ func Adversarial(p Pattern, shape grid.Shape, k int, classMod int, r rng.Source)
 		// Top up with random faults if the box enumeration ran out.
 		if placed < k {
 			if err := s.ExactRandom(r, k-placed); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case RowSweep:
@@ -173,7 +187,7 @@ func Adversarial(p Pattern, shape grid.Shape, k int, classMod int, r rng.Source)
 		}
 		if placed < k {
 			if err := s.ExactRandom(r, k-placed); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case ClassSpread:
@@ -196,16 +210,16 @@ func Adversarial(p Pattern, shape grid.Shape, k int, classMod int, r rng.Source)
 				}
 			}
 			if round > 4*n {
-				return nil, fterr.New(fterr.Internal, "fault", "classspread pattern failed to place %d faults", k)
+				return fterr.New(fterr.Internal, "fault", "classspread pattern failed to place %d faults", k)
 			}
 		}
 	default:
-		return nil, fterr.New(fterr.Invalid, "fault", "unknown pattern %v", p)
+		return fterr.New(fterr.Invalid, "fault", "unknown pattern %v", p)
 	}
 	if s.Count() != k {
-		return nil, fterr.New(fterr.Internal, "fault", "pattern %v placed %d faults, want %d", p, s.Count(), k)
+		return fterr.New(fterr.Internal, "fault", "pattern %v placed %d faults, want %d", p, s.Count(), k)
 	}
-	return s, nil
+	return nil
 }
 
 func pow(base, exp int) int {

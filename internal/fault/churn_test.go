@@ -10,32 +10,28 @@ import (
 
 // TestAddThenClearRoundTrip pins the undo path the churn engine relies
 // on: a batch added through BernoulliRecord is exactly reverted by
-// RemoveAll of the recorded delta, and the touched-word list still
-// covers precisely the words the batch occupied — no missing word (Clear
-// would leave stale bits) and no extraneous word (Clear would scrub
-// words it never needed to).
+// RemoveAll of the recorded delta, and the occupancy bitmap marks
+// precisely the words the batch occupied — no missing word (walks and
+// Clear would skip its faults) and no extraneous word (they would visit
+// words they never needed to).
 func TestAddThenClearRoundTrip(t *testing.T) {
 	const n = 1 << 14
 	s := NewSet(n)
-	s.Clear() // establish the touched-word list
 	for seed := uint64(0); seed < 30; seed++ {
 		r := rng.NewPCG(41, seed)
 		added := s.BernoulliRecord(r, 0.002+0.01*float64(seed%5), nil)
 
-		wantWords := map[int32]bool{}
+		wantWords := map[int]bool{}
 		for _, i := range added {
-			wantWords[int32(i>>6)] = true
+			wantWords[i>>6] = true
 		}
-		gotWords := map[int32]bool{}
-		for _, w := range s.touched {
-			gotWords[w] = true
-		}
+		gotWords := occupiedWords(s)
 		if len(gotWords) != len(wantWords) {
-			t.Fatalf("seed %d: touched covers %d distinct words, want %d", seed, len(gotWords), len(wantWords))
+			t.Fatalf("seed %d: the bitmap marks %d words, want %d", seed, len(gotWords), len(wantWords))
 		}
-		for w := range wantWords {
-			if !gotWords[w] {
-				t.Fatalf("seed %d: word %d holds faults but is not in the touched list", seed, w)
+		for _, w := range gotWords {
+			if !wantWords[w] {
+				t.Fatalf("seed %d: the bitmap marks word %d, which holds no fault", seed, w)
 			}
 		}
 
@@ -48,17 +44,47 @@ func TestAddThenClearRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: node %d still faulty after undo", seed, i)
 			}
 		}
-		// The words are zero again, so Clear's touched-list scrub must
-		// restore a state indistinguishable from a fresh set.
-		s.Clear()
-		if len(s.touched) != 0 {
-			t.Fatalf("seed %d: touched list not emptied by Clear", seed)
+		// The words are zero again, so Remove has already unmarked them,
+		// and Clear must leave a state indistinguishable from a fresh set.
+		if w := occupiedWords(s); len(w) != 0 {
+			t.Fatalf("seed %d: the bitmap still marks words %v after the undo", seed, w)
 		}
+		s.Clear()
 		for w, word := range s.bits {
 			if word != 0 {
 				t.Fatalf("seed %d: word %d nonzero after undo+Clear", seed, w)
 			}
 		}
+		checkOccupancy(t, s)
+	}
+}
+
+// occupiedWords lists the words s's occupancy bitmap marks, in
+// increasing order.
+func occupiedWords(s *Set) []int {
+	var out []int
+	for w := range s.bits {
+		if s.occ[w>>6]&(1<<(uint(w)&63)) != 0 {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// checkOccupancy fails t unless s's occupancy bitmap marks exactly its
+// nonzero words, with no bit set past the last word.
+func checkOccupancy(t *testing.T, s *Set) {
+	t.Helper()
+	if len(s.occ) != (len(s.bits)+63)/64 {
+		t.Fatalf("bitmap has %d words for %d set words", len(s.occ), len(s.bits))
+	}
+	for w, word := range s.bits {
+		if marked := s.occ[w>>6]&(1<<(uint(w)&63)) != 0; marked != (word != 0) {
+			t.Fatalf("word %d = %#x but its bitmap bit is %v", w, word, marked)
+		}
+	}
+	if tail := len(s.bits) & 63; tail != 0 && s.occ[len(s.occ)-1]>>uint(tail) != 0 {
+		t.Fatalf("bitmap marks words past the last of %d", len(s.bits))
 	}
 }
 

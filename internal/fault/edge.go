@@ -160,8 +160,9 @@ func NewCharger(n int) *Charger {
 }
 
 // Reset empties all three sets and the charge counts, retaining
-// capacity — the per-trial scratch pattern of the Monte-Carlo engines
-// (cost O(faults), like Set.Clear, not O(n)).
+// capacity — the per-trial scratch pattern of the Monte-Carlo engines.
+// It costs O(n/4096 + faults), not O(n): Set.Clear zeroes only the
+// occupied words, and the edge set deletes only its listed edges.
 func (c *Charger) Reset() {
 	c.nodes.Clear()
 	c.edges.Clear()

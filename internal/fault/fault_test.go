@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"ftnet/internal/fterr"
 	"ftnet/internal/grid"
 	"ftnet/internal/rng"
 )
@@ -199,6 +201,36 @@ func TestAdversarialPatternsPlaceExactly(t *testing.T) {
 	}
 }
 
+// TestAdversarialIntoReusedSet: placing every pattern into one set,
+// cleared between bursts, gives exactly Adversarial's faults from the
+// same stream; a set that is not empty or spans another universe is
+// rejected.
+func TestAdversarialIntoReusedSet(t *testing.T) {
+	shape := grid.Shape{40, 40}
+	burst := NewSet(shape.Size())
+	for _, p := range AllPatterns() {
+		for _, k := range []int{1, 12, 200} {
+			want, err := Adversarial(p, shape, k, 5, rng.NewPCG(uint64(k), 3))
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", p, k, err)
+			}
+			burst.Clear()
+			if err := AdversarialInto(burst, p, shape, k, 5, rng.NewPCG(uint64(k), 3)); err != nil {
+				t.Fatalf("%v k=%d into a reused set: %v", p, k, err)
+			}
+			if !slices.Equal(burst.Slice(), want.Slice()) {
+				t.Fatalf("%v k=%d: reused set holds %v, Adversarial placed %v", p, k, burst.Slice(), want.Slice())
+			}
+		}
+	}
+	if err := AdversarialInto(burst, Uniform, shape, 3, 5, rng.New(1)); !fterr.Is(err, fterr.Invalid) {
+		t.Errorf("non-empty target: err = %v, want an invalid-argument error", err)
+	}
+	if err := AdversarialInto(NewSet(10), Uniform, shape, 3, 5, rng.New(1)); !fterr.Is(err, fterr.Invalid) {
+		t.Errorf("target over another universe: err = %v, want an invalid-argument error", err)
+	}
+}
+
 func TestAdversarialTooMany(t *testing.T) {
 	if _, err := Adversarial(Uniform, grid.Shape{3, 3}, 10, 2, rng.New(1)); err == nil {
 		t.Error("placing 10 faults on 9 nodes should fail")
@@ -226,5 +258,49 @@ func TestPatternStrings(t *testing.T) {
 	}
 	if Pattern(99).String() != "pattern(99)" {
 		t.Error("unknown pattern string wrong")
+	}
+}
+
+// BenchmarkSetWalk times the sparse walks — ForEach, Nth and Clear
+// (refilling the set each time) — on 20 faults at the B² host's universe
+// (279,936 nodes) and the d=3 host's (9,437,184 nodes): the cost the
+// occupancy bitmap makes proportional to the faults, not the host.
+func BenchmarkSetWalk(b *testing.B) {
+	for _, u := range []struct {
+		name string
+		n    int
+	}{{"B2", 279936}, {"D3", 9437184}} {
+		s := NewSet(u.n)
+		if err := s.ExactRandom(rng.NewPCG(5, 9), 20); err != nil {
+			b.Fatal(err)
+		}
+		nodes := s.Slice()
+		b.Run(u.name+"/ForEach", func(b *testing.B) {
+			b.ReportAllocs()
+			visits := 0
+			for b.Loop() {
+				s.ForEach(func(int) { visits++ })
+			}
+			if visits == 0 {
+				b.Fatal("ForEach visited nothing")
+			}
+		})
+		b.Run(u.name+"/Nth", func(b *testing.B) {
+			b.ReportAllocs()
+			k := 0
+			for b.Loop() {
+				s.Nth(k)
+				k = (k + 1) % len(nodes)
+			}
+		})
+		b.Run(u.name+"/Clear", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Clear()
+				for _, v := range nodes {
+					s.Add(v)
+				}
+			}
+		})
 	}
 }

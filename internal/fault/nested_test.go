@@ -99,9 +99,9 @@ func TestExtendRejectsDescendingRates(t *testing.T) {
 	}
 }
 
-// TestSparseClear pins the touched-word Clear: after the first (memset)
-// Clear, repeated fill/clear cycles must fully empty the set, including
-// around Remove churn and the dense fallback threshold.
+// TestSparseClear pins the occupancy-bitmap Clear: repeated fill/clear
+// cycles must fully empty the set and its bitmap, including around
+// Remove churn and in dense rounds that occupy most words.
 func TestSparseClear(t *testing.T) {
 	const n = 4096
 	s := NewSet(n)
@@ -109,12 +109,13 @@ func TestSparseClear(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		p := 1e-3
 		if round%5 == 4 {
-			p = 0.9 // dense round: exercises the memset fallback
+			p = 0.9 // dense round: nearly every word occupied
 		}
 		s.Bernoulli(r, p)
 		if round%3 == 1 && s.Count() > 0 {
 			s.Remove(s.Slice()[0])
 		}
+		checkOccupancy(t, s)
 		s.Clear()
 		if s.Count() != 0 {
 			t.Fatalf("round %d: count %d after Clear", round, s.Count())
@@ -123,6 +124,9 @@ func TestSparseClear(t *testing.T) {
 			if s.Has(i) {
 				t.Fatalf("round %d: node %d still set after Clear", round, i)
 			}
+		}
+		if w := occupiedWords(s); len(w) != 0 {
+			t.Fatalf("round %d: the bitmap marks words %v after Clear", round, w)
 		}
 	}
 }
