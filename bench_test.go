@@ -363,9 +363,13 @@ func edgeChurnSteadyState(b *testing.B, g *core.Graph, scale float64) (*churn.Ge
 	stream := rng.NewPCG(4242, 3)
 	ch := fault.NewCharger(g.NumNodes())
 	// ~8 relaxation times of warmup events reach the stationary mix.
-	for gen.Now() < 8/rho {
-		if _, err := gen.NextMixed(stream, ch); err != nil {
+	for {
+		ev, err := gen.NextMixed(stream, ch)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if ev.Time >= 8/rho {
+			break
 		}
 	}
 	ses.NoteAdded(ch.Effective().Slice())

@@ -451,40 +451,6 @@ func cloneSnap(s *wire.Snapshot) *wire.Snapshot {
 	return &cp
 }
 
-// applyInPlace patches snap forward with d and re-verifies the result
-// against the delta's head checksum. On any mismatch snap is left
-// dirty and the caller must resync — exactly the recovery the coded
-// error prescribes.
-func applyInPlace(snap *wire.Snapshot, d *wire.Delta) error {
-	if snap.Topology != d.Topology || snap.Side != d.Side || snap.Dims != d.Dims {
-		return fterr.Wrapf(fterr.ResyncRequired, "client.apply", wire.ErrMismatch, "topology or geometry changed")
-	}
-	if snap.Generation != d.FromGeneration {
-		return fterr.Wrapf(fterr.ResyncRequired, "client.apply", wire.ErrMismatch,
-			"delta starts at generation %d, snapshot is at %d", d.FromGeneration, snap.Generation)
-	}
-	nc := snap.NumCols()
-	for _, cu := range d.Cols {
-		if cu.Col < 0 || cu.Col >= nc || len(cu.Vals) != snap.Side {
-			return fterr.Wrapf(fterr.ResyncRequired, "client.apply", wire.ErrMismatch, "malformed column update %d", cu.Col)
-		}
-		for j, v := range cu.Vals {
-			snap.Map[j*nc+cu.Col] = v
-		}
-	}
-	// The checksum re-verification: a corrupted or misapplied delta can
-	// never become this client's state.
-	if got := wire.Checksum(snap.Map); got != d.Checksum {
-		return fterr.Wrapf(fterr.Corrupt, "client.apply", wire.ErrMismatch,
-			"patched map checksum %016x does not match delta %016x", got, d.Checksum)
-	}
-	snap.Generation = d.ToGeneration
-	snap.Faults = append(snap.Faults[:0], d.Faults...)
-	snap.Edges = append(snap.Edges[:0], d.Edges...)
-	snap.Checksum = d.Checksum
-	return nil
-}
-
 // Sync brings the client's embedding state to the daemon's head and
 // returns a stable copy of it. The first call full-fetches; later
 // calls request only the columns changed since the held generation and
@@ -558,7 +524,9 @@ func (c *Client) deltaOnce(ctx context.Context) error {
 	if len(d.Cols) == 0 && d.ToGeneration == c.snap.Generation {
 		return nil // already at head
 	}
-	if err := applyInPlace(c.snap, d); err != nil {
+	// On any mismatch c.snap is left dirty and the caller must resync —
+	// exactly the recovery the coded error prescribes.
+	if err := wire.ApplyInPlace(c.snap, d); err != nil {
 		return err
 	}
 	c.deltaApplies.Add(1)

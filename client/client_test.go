@@ -410,7 +410,7 @@ func TestApplyInPlaceRejectsMismatch(t *testing.T) {
 	snap := &wire.Snapshot{Topology: "main", Generation: 3, Side: 2, Dims: 2, Map: []int{0, 1, 2, 3}}
 	snap.Checksum = wire.Checksum(snap.Map)
 	d := &wire.Delta{Topology: "main", FromGeneration: 4, ToGeneration: 5, Side: 2, Dims: 2}
-	if err := applyInPlace(snap, d); !fterr.Is(err, fterr.ResyncRequired) {
+	if err := wire.ApplyInPlace(snap, d); !fterr.Is(err, fterr.ResyncRequired) {
 		t.Fatalf("generation mismatch: want %s, got %v", fterr.ResyncRequired, err)
 	}
 	d = &wire.Delta{
@@ -418,7 +418,7 @@ func TestApplyInPlaceRejectsMismatch(t *testing.T) {
 		Cols:     []wire.ColumnUpdate{{Col: 0, Vals: []int{9, 9}}},
 		Checksum: 0xdead, // wrong on purpose
 	}
-	if err := applyInPlace(snap, d); !fterr.Is(err, fterr.Corrupt) {
+	if err := wire.ApplyInPlace(snap, d); !fterr.Is(err, fterr.Corrupt) {
 		t.Fatalf("checksum mismatch: want %s, got %v", fterr.Corrupt, err)
 	}
 }

@@ -39,6 +39,15 @@ func checkNode(v, n int) error {
 	return nil
 }
 
+// checkFaults rejects a fault set built for a host with a different node
+// count: its indices would name the wrong nodes, or none at all.
+func checkFaults(f *Faults, n int) error {
+	if f.Len() != n {
+		return fterr.New(fterr.Invalid, "ftnet", "fault set over %d nodes given to a host with %d", f.Len(), n)
+	}
+	return nil
+}
+
 // AddChecked marks host node v faulty, rejecting out-of-range indices.
 // Adding an already-faulty node is a no-op.
 func (f *Faults) AddChecked(v int) error {
@@ -192,8 +201,12 @@ func (t *RandomFaultTorus) InjectRandom(seed uint64, p float64) *Faults {
 
 // Extract masks the faults with bands and extracts a verified fault-free
 // n-torus. It returns ErrNotTolerated (wrapped) when the pattern exceeds
-// the construction's tolerance.
+// the construction's tolerance, and a CodeInvalid error for a fault set
+// built for another host.
 func (t *RandomFaultTorus) Extract(f *Faults) (*Embedding, error) {
+	if err := checkFaults(f, t.HostNodes()); err != nil {
+		return nil, err
+	}
 	res, err := t.g.ContainTorus(f.set, core.ExtractOptions{})
 	if err != nil {
 		return nil, classify(err)
@@ -217,8 +230,12 @@ func (t *RandomFaultTorus) ExtractMesh(f *Faults) (*Embedding, error) {
 
 // Healthy reports whether the fault pattern satisfies the paper's
 // Lemma 4 healthiness conditions (a diagnostic; Extract uses its own,
-// constructive criteria).
+// constructive criteria). It panics on a fault set built for another
+// host, as Faults.Add does on a bad index.
 func (t *RandomFaultTorus) Healthy(f *Faults) bool {
+	if err := checkFaults(f, t.HostNodes()); err != nil {
+		panic(err)
+	}
 	return t.g.CheckHealth(f.set).Healthy()
 }
 
@@ -538,8 +555,19 @@ func (t *WorstCaseTorus) NewFaults() *Faults {
 // Extract masks the node faults (plus optional faulty edges, each given as
 // a [2]int host pair) and extracts a verified fault-free n-torus. Any
 // fault set within Capacity() succeeds; the returned error otherwise
-// wraps ErrNotTolerated.
+// wraps ErrNotTolerated. A fault set built for another host, or an edge
+// pair out of range, a self-loop or not adjacent in the host, is a
+// CodeInvalid error instead.
 func (t *WorstCaseTorus) Extract(f *Faults, faultyEdges [][2]int) (*Embedding, error) {
+	n := t.HostNodes()
+	if err := checkFaults(f, n); err != nil {
+		return nil, err
+	}
+	for _, e := range faultyEdges {
+		if err := validate.Edge("edge fault", e[0], e[1], n, t.g.Adjacent); err != nil {
+			return nil, err
+		}
+	}
 	emb, _, err := t.g.Tolerate(f.set, faultyEdges)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotTolerated, err)

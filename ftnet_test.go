@@ -560,3 +560,78 @@ func TestReembedDelta(t *testing.T) {
 	ses.ClearFaults(ses.FaultNodes()...)
 	step("healed")
 }
+
+// TestOneShotRejectsForeignInput pins the input checks of the one-shot
+// entry points: a fault set built for another host, and edge pairs out
+// of range, self-looped or not adjacent in the host, are CodeInvalid
+// errors (a panic carrying one from Healthy, which returns only a bool),
+// never an index panic, a wrong answer or an embedding.
+func TestOneShotRejectsForeignInput(t *testing.T) {
+	small, err := NewRandomFaultTorus(2, 64, 0.5) // 49,152 host nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewRandomFaultTorus(2, 400, 0.5) // 279,936 host nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigFaults := big.NewFaults()
+	for _, v := range []int{7, 100000, big.HostNodes() - 1} {
+		bigFaults.Add(v)
+	}
+	// Every index of bigLow is in range on the small host too, so
+	// nothing catches it there but the universe check.
+	bigLow := big.NewFaults()
+	bigLow.Add(7)
+	bigLow.Add(30000)
+	smallFaults := small.NewFaults()
+	for _, v := range []int{7, 30000, small.HostNodes() - 1} {
+		smallFaults.Add(v)
+	}
+	wc, err := NewWorstCaseTorus(2, 60, 8) // 8,100 host nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcBig, err := NewWorstCaseTorus(2, 80, 27) // 32,400 host nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcForeign := wcBig.NewFaults()
+	wcForeign.Add(5)
+	wcFaults := wc.NewFaults()
+	wcFaults.Add(wc.HostIndex(5, 5))
+
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Extract: set of a larger host", func() error { _, err := small.Extract(bigFaults); return err }},
+		{"Extract: set of a smaller host", func() error { _, err := big.Extract(smallFaults); return err }},
+		{"ExtractMesh: set of a larger host", func() error { _, err := small.ExtractMesh(bigFaults); return err }},
+		{"Healthy: set of a larger host", func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err, _ = r.(error)
+				}
+			}()
+			small.Healthy(bigLow)
+			return nil
+		}},
+		{"WorstCase Extract: set of a larger host", func() error { _, err := wc.Extract(wcForeign, nil); return err }},
+		{"WorstCase Extract: edge out of range", func() error {
+			_, err := wc.Extract(wcFaults, [][2]int{{-5, 1 << 40}})
+			return err
+		}},
+		{"WorstCase Extract: self-loop", func() error { _, err := wc.Extract(wcFaults, [][2]int{{0, 0}}); return err }},
+		{"WorstCase Extract: non-adjacent pair", func() error {
+			_, err := wc.Extract(wcFaults, [][2]int{{0, 460}})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		err := c.call()
+		if CodeOf(err) != CodeInvalid || errors.Is(err, ErrNotTolerated) {
+			t.Errorf("%s: err = %v, want a %s error not wrapped in ErrNotTolerated", c.name, err, CodeInvalid)
+		}
+	}
+}

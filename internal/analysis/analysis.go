@@ -3,10 +3,11 @@
 // constraint) for the repo's custom static analyzers. The reproduction
 // rests on invariants the compiler never sees — bit-identical results
 // across worker counts, wait-free atomic snapshots, allocation-free hot
-// paths, the fterr error taxonomy — and probabilistic tests only catch
-// a violation if the seed happens to hit it. The analyzer subpackages
-// (determinism, atomics, hotpath, errcodes) hold those contracts
-// mechanically; this package provides what they share:
+// paths, the fterr error taxonomy, no code that only tests call — and
+// probabilistic tests only catch a violation if the seed happens to hit
+// it. The analyzer subpackages (determinism, atomics, hotpath, errcodes,
+// unused) hold those contracts mechanically; this package provides what
+// they share:
 //
 //   - LoadModule: walks the module, parses every non-test file and
 //     type-checks every package in dependency order (stdlib imports are

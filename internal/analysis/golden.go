@@ -24,6 +24,8 @@ type expectation struct {
 // line, and every want must be hit. This is the self-test proving each
 // analyzer still catches its seeded violations — delete a want's
 // violation (or break the analyzer) and the golden goes red.
+//
+//lint:allow unused every analyzer's golden test calls it, and Go cannot share _test.go helpers across packages
 func RunGolden(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	m, pkg, err := LoadDir(dir)
@@ -102,9 +104,4 @@ func RunGolden(t *testing.T, a *Analyzer, dir string) {
 			t.Errorf("%s: line %d: no diagnostic matched want %q", dir, w.line, w.pattern)
 		}
 	}
-}
-
-// Golden wraps RunGolden for use as a subtest body.
-func Golden(a *Analyzer, dir string) func(*testing.T) {
-	return func(t *testing.T) { RunGolden(t, a, dir) }
 }

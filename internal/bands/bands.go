@@ -117,9 +117,6 @@ func (s *Set) SeedFrom(tpl *Set) error {
 	return nil
 }
 
-// Tracking reports whether the set is in copy-on-write mode.
-func (s *Set) Tracking() bool { return s.dirtyBits != nil }
-
 // MarkDirty records that column z may differ from the seed template.
 // No-op when tracking is off or the column is already dirty.
 func (s *Set) MarkDirty(z int) {
@@ -142,12 +139,8 @@ func (s *Set) IsDirty(z int) bool {
 // DirtyColumns returns the dirty columns in mark order (deterministic: it
 // follows the placement algorithm's enumeration). The slice aliases
 // internal state — callers must not mutate it, and it is valid only until
-// the next SeedFrom. Nil when tracking is off or nothing is dirty; use
-// Tracking to distinguish the two.
+// the next SeedFrom. Empty when tracking is off or nothing is dirty.
 func (s *Set) DirtyColumns() []int32 { return s.dirtyList }
-
-// DirtyCount returns the number of dirty columns.
-func (s *Set) DirtyCount() int { return len(s.dirtyList) }
 
 // CopyBandRange copies bands [gLo, gHi) at column z from src, marking z
 // dirty on a tracked receiver. The two families must share geometry (the
@@ -233,20 +226,6 @@ func (s *Set) UnmaskedRows(z int, buf []int32) []int32 {
 	return buf
 }
 
-// ColumnValues appends the band bottoms at column z in family order.
-func (s *Set) ColumnValues(z int, buf []int32) []int32 {
-	for g := range s.vals {
-		buf = append(buf, s.vals[g][z])
-	}
-	return buf
-}
-
-// Report describes a validation failure in detail.
-type Report struct {
-	OK      bool
-	Problem string
-}
-
 // Validate checks the three structural conditions on the family:
 //
 //  1. slope: |beta(z) - beta(z')| <= 1 (cyclically) for adjacent columns;
@@ -320,20 +299,6 @@ func (s *Set) validateSlope(z, zn int) error {
 	return nil
 }
 
-// ValidateDirty is Validate restricted to the fault footprint of a
-// tracked set: it checks untouching and closure on every dirty column,
-// and the slope condition on every column adjacency incident to a dirty
-// column (both directions, so dirty-clean frontiers are fully covered).
-// Clean columns are value-identical to the seed template by the SeedFrom
-// contract, so validating the template once extends the guarantee to the
-// whole family. Calling it on an untracked set is an error.
-func (s *Set) ValidateDirty() error {
-	if s.dirtyBits == nil {
-		return fmt.Errorf("bands: ValidateDirty on an untracked set")
-	}
-	return s.ValidateColumns(s.dirtyList)
-}
-
 // ValidateColumns is Validate restricted to the given columns: untouching
 // and closure on each, and the slope condition on every adjacency incident
 // to one (both directions). It extends a validity guarantee that already
@@ -365,21 +330,6 @@ func (s *Set) ValidateColumns(cols []int32) error {
 				}
 			}
 			coord[dim] = orig
-		}
-	}
-	return nil
-}
-
-// UnmaskedPerColumn returns M - K*Width, the number of unmasked rows each
-// column has under a valid family.
-func (s *Set) UnmaskedPerColumn() int { return s.M - s.K()*s.Width }
-
-// MasksAll reports whether every fault in the list (given as (row, column)
-// pairs) is masked by some band. Used as a post-placement check.
-func (s *Set) MasksAll(faults [][2]int) error {
-	for _, f := range faults {
-		if s.MaskedBy(f[1], f[0]) < 0 {
-			return fmt.Errorf("bands: fault at row %d column %d left unmasked", f[0], f[1])
 		}
 	}
 	return nil

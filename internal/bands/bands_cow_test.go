@@ -1,7 +1,6 @@
 package bands
 
 import (
-	"strings"
 	"testing"
 
 	"ftnet/internal/grid"
@@ -30,14 +29,15 @@ func cowTemplate(t *testing.T) *Set {
 func TestSeedFromTracksAndRestores(t *testing.T) {
 	tpl := cowTemplate(t)
 	ws := NewSet(30, 2, grid.Shape{6}, 3)
-	if ws.Tracking() {
+	ws.SetValue(0, 0, 1)
+	if ws.IsDirty(0) || len(ws.DirtyColumns()) != 0 {
 		t.Fatal("fresh set should not track")
 	}
 	if err := ws.SeedFrom(tpl); err != nil {
 		t.Fatal(err)
 	}
-	if !ws.Tracking() || ws.DirtyCount() != 0 {
-		t.Fatalf("after seed: tracking=%v dirty=%d", ws.Tracking(), ws.DirtyCount())
+	if len(ws.DirtyColumns()) != 0 {
+		t.Fatalf("after seed: dirty=%v", ws.DirtyColumns())
 	}
 	for g := 0; g < 3; g++ {
 		for z := 0; z < 6; z++ {
@@ -50,7 +50,7 @@ func TestSeedFromTracksAndRestores(t *testing.T) {
 	ws.SetValue(1, 3, 11)
 	ws.SetValue(2, 3, 21)
 	ws.SetValue(0, 5, 1)
-	if got := ws.DirtyCount(); got != 2 {
+	if got := len(ws.DirtyColumns()); got != 2 {
 		t.Fatalf("dirty count = %d, want 2", got)
 	}
 	if !ws.IsDirty(3) || !ws.IsDirty(5) || ws.IsDirty(0) {
@@ -66,7 +66,7 @@ func TestSeedFromTracksAndRestores(t *testing.T) {
 	if err := ws.SeedFrom(tpl); err != nil {
 		t.Fatal(err)
 	}
-	if ws.DirtyCount() != 0 {
+	if len(ws.DirtyColumns()) != 0 {
 		t.Fatalf("dirty not cleared: %v", ws.DirtyColumns())
 	}
 	for g := 0; g < 3; g++ {
@@ -93,24 +93,21 @@ func TestSeedFromGeometryMismatch(t *testing.T) {
 func TestValidateDirty(t *testing.T) {
 	tpl := cowTemplate(t)
 	ws := NewSet(30, 2, grid.Shape{6}, 3)
-	if err := ws.ValidateDirty(); err == nil || !strings.Contains(err.Error(), "untracked") {
-		t.Fatalf("untracked ValidateDirty: %v", err)
-	}
 	if err := ws.SeedFrom(tpl); err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.ValidateDirty(); err != nil {
+	if err := ws.ValidateColumns(ws.DirtyColumns()); err != nil {
 		t.Fatalf("clean set: %v", err)
 	}
 	// A legal one-step slide in one column passes.
 	ws.SetValue(1, 3, 11)
-	if err := ws.ValidateDirty(); err != nil {
+	if err := ws.ValidateColumns(ws.DirtyColumns()); err != nil {
 		t.Fatalf("legal slide: %v", err)
 	}
 	// A two-step slide violates the slope condition against a clean
 	// neighbor and must be caught even though the neighbor is not dirty.
 	ws.SetValue(1, 3, 12)
-	if err := ws.ValidateDirty(); err == nil {
+	if err := ws.ValidateColumns(ws.DirtyColumns()); err == nil {
 		t.Fatal("slope violation missed")
 	}
 	// Touching bands within a dirty column are caught.
@@ -119,7 +116,7 @@ func TestValidateDirty(t *testing.T) {
 	}
 	ws.SetValue(1, 2, 12)
 	ws.SetValue(2, 2, 14)
-	if err := ws.ValidateDirty(); err == nil {
+	if err := ws.ValidateColumns(ws.DirtyColumns()); err == nil {
 		t.Fatal("touching bands missed")
 	}
 }

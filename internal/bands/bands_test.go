@@ -24,9 +24,6 @@ func TestStraightSetValid(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("straight set invalid: %v", err)
 	}
-	if s.UnmaskedPerColumn() != 120-40 {
-		t.Errorf("UnmaskedPerColumn = %d", s.UnmaskedPerColumn())
-	}
 }
 
 func TestValidateDetectsTouching(t *testing.T) {
@@ -139,29 +136,6 @@ func TestWindingBandStillValid(t *testing.T) {
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("winding band invalid: %v", err)
-	}
-}
-
-func TestColumnValues(t *testing.T) {
-	s := straightSet(120, 4, 10, 3)
-	vals := s.ColumnValues(1, nil)
-	if len(vals) != 10 {
-		t.Fatalf("ColumnValues length %d", len(vals))
-	}
-	for g, v := range vals {
-		if int(v) != s.Value(g, 1) {
-			t.Fatalf("ColumnValues[%d] = %d", g, v)
-		}
-	}
-}
-
-func TestMasksAllHelper(t *testing.T) {
-	s := straightSet(120, 4, 10, 3)
-	if err := s.MasksAll([][2]int{{0, 0}, {13, 2}}); err != nil {
-		t.Errorf("masked faults reported unmasked: %v", err)
-	}
-	if err := s.MasksAll([][2]int{{5, 0}}); err == nil {
-		t.Error("unmasked fault not reported")
 	}
 }
 

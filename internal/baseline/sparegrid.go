@@ -35,9 +35,6 @@ func (sg *SpareGrid) Side() int { return sg.N + sg.S }
 // NumNodes returns (n+s)^2.
 func (sg *SpareGrid) NumNodes() int { return sg.Side() * sg.Side() }
 
-// Degree returns the maximum degree 4L (interior nodes; boundary lower).
-func (sg *SpareGrid) Degree() int { return 4 * sg.L }
-
 // Adjacent reports host adjacency: same row or column, offset 1..L.
 func (sg *SpareGrid) Adjacent(u, v int) bool {
 	if u == v {

@@ -185,9 +185,6 @@ func NewGeneratorHost(proc Process, h Host) (*Generator, error) {
 // Reset rewinds the clock for a new trial.
 func (gen *Generator) Reset() { gen.now = 0 }
 
-// Now returns the current simulated time.
-func (gen *Generator) Now() float64 { return gen.now }
-
 // NextMixed advances to the next churn event of the mixed node+edge
 // process, mutates the charger by its delta, and returns it. Six event
 // kinds compete by rate (Gillespie's direct method): node arrival, node

@@ -151,6 +151,49 @@ func TestEdgeClassCounts(t *testing.T) {
 	}
 }
 
+// EdgeKind classifies a host edge: the oracle TestEdgeClassCounts uses to
+// pin the paper's degree split (2d torus edges, 2 vertical jumps and
+// 4(d-1) diagonal jumps per node).
+type EdgeKind int
+
+const (
+	// EdgeNone means the pair is not adjacent.
+	EdgeNone EdgeKind = iota
+	// EdgeTorus is an inherited torus edge.
+	EdgeTorus
+	// EdgeVJump is a vertical jump over a band (+-(b+1) in dimension 0).
+	EdgeVJump
+	// EdgeDJump is a diagonal jump over a band (+-b into an adjacent column).
+	EdgeDJump
+)
+
+// Classify returns the edge class of the pair (u, v), ignoring ablation
+// switches.
+func (g *Graph) Classify(u, v int) EdgeKind {
+	iu, zu := g.NodeOf(u)
+	iv, zv := g.NodeOf(v)
+	di := grid.Dist(iu, iv, g.P.M())
+	if zu == zv {
+		switch di {
+		case 1:
+			return EdgeTorus
+		case g.P.W + 1:
+			return EdgeVJump
+		}
+		return EdgeNone
+	}
+	if !g.columnsAdjacent(zu, zv) {
+		return EdgeNone
+	}
+	switch di {
+	case 0:
+		return EdgeTorus
+	case g.P.W:
+		return EdgeDJump
+	}
+	return EdgeNone
+}
+
 func roundtrip(t *testing.T, g *Graph, faults *fault.Set) *Result {
 	t.Helper()
 	res, err := g.ContainTorus(faults, ExtractOptions{CheckConsistency: true})
@@ -343,16 +386,6 @@ func TestHealthDenseFaults(t *testing.T) {
 	h := g.CheckHealth(faults)
 	if h.Healthy() {
 		t.Errorf("20%% faults reported healthy: %+v", h)
-	}
-}
-
-func TestTileOf(t *testing.T) {
-	p := testParams2D()
-	g := mustGraph(t, p)
-	tile := p.Tile()
-	buf := g.TileOf(g.NodeIndex(tile+3, 2*tile+5), nil)
-	if buf[0] != 1 || buf[1] != 2 {
-		t.Errorf("TileOf = %v, want [1 2]", buf)
 	}
 }
 

@@ -42,8 +42,8 @@ func TestEngineFaultFreeEvalIsFree(t *testing.T) {
 		t.Fatalf("fault-free eval after Reset: %d changed, %d re-derived, %d verified; want 0",
 			len(ses.changed), len(ses.recomp), len(ses.verify))
 	}
-	if res.Bands.DirtyCount() != 0 || len(ses.prevDirty) != 0 {
-		t.Fatalf("fault-free eval left %d dirty columns, %d to restore", res.Bands.DirtyCount(), len(ses.prevDirty))
+	if len(res.Bands.DirtyColumns()) != 0 || len(ses.prevDirty) != 0 {
+		t.Fatalf("fault-free eval left %d dirty columns, %d to restore", len(res.Bands.DirtyColumns()), len(ses.prevDirty))
 	}
 	if _, full := ses.DrainDelta(); !full {
 		t.Fatal("the first eval after a Reset must drain a full delta")

@@ -220,64 +220,6 @@ func (g *Graph) columnsAdjacent(za, zb int) bool {
 	return adjacentDims == 1
 }
 
-// EdgeKind classifies a host edge for statistics and ablation reports.
-type EdgeKind int
-
-const (
-	// EdgeNone means the pair is not adjacent.
-	EdgeNone EdgeKind = iota
-	// EdgeTorus is an inherited torus edge.
-	EdgeTorus
-	// EdgeVJump is a vertical jump over a band (+-(b+1) in dimension 0).
-	EdgeVJump
-	// EdgeDJump is a diagonal jump over a band (+-b into an adjacent column).
-	EdgeDJump
-)
-
-// Classify returns the edge class of the pair (u, v), ignoring ablation
-// switches.
-func (g *Graph) Classify(u, v int) EdgeKind {
-	iu, zu := g.NodeOf(u)
-	iv, zv := g.NodeOf(v)
-	di := grid.Dist(iu, iv, g.P.M())
-	if zu == zv {
-		switch di {
-		case 1:
-			return EdgeTorus
-		case g.P.W + 1:
-			return EdgeVJump
-		}
-		return EdgeNone
-	}
-	if !g.columnsAdjacent(zu, zv) {
-		return EdgeNone
-	}
-	switch di {
-	case 0:
-		return EdgeTorus
-	case g.P.W:
-		return EdgeDJump
-	}
-	return EdgeNone
-}
-
-// TileOf returns the tile coordinates of a node: (slab, colTile...). The
-// returned slice has d entries; entry 0 is the slab index i / b^2, the rest
-// are the column-tile coordinates z_j / b^2.
-func (g *Graph) TileOf(idx int, buf []int) []int {
-	if buf == nil {
-		buf = make([]int, g.P.D)
-	}
-	t := g.P.Tile()
-	i, z := g.NodeOf(idx)
-	buf[0] = i / t
-	coord := g.ColShape.Coord(z, make([]int, g.P.D-1))
-	for j, c := range coord {
-		buf[j+1] = c / t
-	}
-	return buf
-}
-
 // chebyshevDeltas returns the 3^d-1 nonzero {-1,0,1}^d tile deltas, built
 // once per graph: box clustering walks them for every faulty tile of every
 // Monte-Carlo trial, and regenerating the slice family per trial was one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"ftnet/internal/fault"
@@ -83,7 +84,7 @@ func (g *Graph) CheckHealth(faults *fault.Set) *Health {
 		}
 		rows := brickFaultRows[b]
 		sort.Ints(rows)
-		rows = dedupeSorted(rows)
+		rows = slices.Compact(rows)
 		if !hasFreeRun(rows, t, 2*w) {
 			h.Cond1OK = false
 			h.BricksNoFreeRun++
@@ -155,19 +156,6 @@ func (g *Graph) ringFaultFree(tf []int32, tileShape grid.Shape, center []int, rh
 		return true
 	}
 	return rec(0, false)
-}
-
-func dedupeSorted(a []int) []int {
-	if len(a) == 0 {
-		return a
-	}
-	out := a[:1]
-	for _, v := range a[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // hasFreeRun reports whether the sorted distinct fault rows leave a run of

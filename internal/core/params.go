@@ -107,15 +107,6 @@ func (p Params) NumNodes() int {
 	return total
 }
 
-// NumColumns returns n^{d-1}.
-func (p Params) NumColumns() int {
-	total := 1
-	for i := 1; i < p.D; i++ {
-		total *= p.N()
-	}
-	return total
-}
-
 // Degree returns the uniform host degree 6d-2 (Theorem 2).
 func (p Params) Degree() int { return 6*p.D - 2 }
 

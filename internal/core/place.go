@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,10 +56,9 @@ type faultBox struct {
 	// faultRows lists the distinct fault row offsets (relative), sorted.
 	faultRows []int
 	// segs lists segment bottoms (relative), sorted, after pigeonholing.
+	// After padding it holds exactly PerSlab segments per slab, so relative
+	// slab rs owns segs[rs*PerSlab : (rs+1)*PerSlab].
 	segs []int
-	// perSlab[s] lists the PerSlab segment bottoms assigned to relative
-	// slab s, sorted, after padding.
-	perSlab [][]int
 }
 
 // PlaceBands runs the constructive proof of Lemma 5: it isolates faults
@@ -105,16 +105,12 @@ func (g *Graph) buildBoxes(faults *fault.Set, sc *Scratch) ([]*faultBox, *PlaceR
 	rep.FaultyTiles = len(faultyTiles)
 
 	boxes := initialBoxes(faultyTiles, tileShape, g.chebyshevDeltas(), sc)
-	var err error
 	for pass := 0; ; pass++ {
 		rep.MergePasses = pass + 1
 		if pass > 8 {
 			return nil, rep, unhealthy("box merging did not converge after %d passes", pass)
 		}
-		boxes, err = mergeBoxes(boxes, tileShape)
-		if err != nil {
-			return nil, rep, err
-		}
+		boxes = mergeBoxes(boxes, tileShape)
 		if err := g.checkBoxCaps(boxes, tileShape); err != nil {
 			return nil, rep, err
 		}
@@ -325,7 +321,7 @@ func genChebyshevDeltas(d int) [][]int {
 // applied in every dimension, even diagonally. This realizes the corner
 // separation the paper derives from the painting procedure ("two hypercubes
 // share a point only within one black region").
-func mergeBoxes(boxes []*faultBox, tileShape grid.Shape) ([]*faultBox, error) {
+func mergeBoxes(boxes []*faultBox, tileShape grid.Shape) []*faultBox {
 	changed := true
 	for changed {
 		changed = false
@@ -346,7 +342,7 @@ func mergeBoxes(boxes []*faultBox, tileShape grid.Shape) ([]*faultBox, error) {
 			}
 		}
 	}
-	return boxes, nil
+	return boxes
 }
 
 // boxesNear reports whether boxes a and b, each expanded by one tile on
@@ -386,7 +382,6 @@ func (g *Graph) assignFaultRows(boxes []*faultBox, faults *fault.Set, tileShape 
 	for _, b := range boxes {
 		b.faultRows = b.faultRows[:0]
 		b.segs = nil
-		b.perSlab = nil
 	}
 	coord, _ := sc.coordBufs(g.P.D - 1)
 	var outErr error
@@ -425,22 +420,9 @@ func (g *Graph) assignFaultRows(boxes []*faultBox, faults *fault.Set, tileShape 
 	}
 	for _, b := range boxes {
 		sort.Ints(b.faultRows)
-		b.faultRows = dedupe(b.faultRows)
+		b.faultRows = slices.Compact(b.faultRows)
 	}
 	return nil
-}
-
-func dedupe(a []int) []int {
-	if len(a) == 0 {
-		return a
-	}
-	out := a[:1]
-	for _, v := range a[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // pigeonholeSegments implements the block argument of Lemma 5: split the
@@ -516,21 +498,18 @@ func (g *Graph) padBox(b *faultBox, sc *Scratch) (int, error) {
 	w := g.P.W
 	per := g.P.PerSlab()
 	slabs := b.ext[0]
-	counts := make([]int, slabs)
-	for _, s := range b.segs {
+	for i, s := range b.segs { // b.segs is sorted (pigeonholeSegments)
 		if s < 0 || s >= slabs*t {
 			return 0, fterr.New(fterr.Internal, "core", "segment %d outside box rows [0,%d)", s, slabs*t)
 		}
-		rs := s / t
-		counts[rs]++
-		if counts[rs] > per {
-			return 0, unhealthy("slab needs %d segments but capacity is %d (paper condition 2 fails)", counts[rs], per)
+		if i >= per && b.segs[i-per]/t == s/t {
+			return 0, unhealthy("slab needs %d segments but capacity is %d (paper condition 2 fails)", per+1, per)
 		}
 	}
 	added := 0
-	all := append(sc.segMerge[:0], b.segs...) // b.segs is sorted (pigeonholeSegments)
+	all := append(sc.segMerge[:0], b.segs...)
 	for rs := 0; rs < slabs; rs++ {
-		need := per - counts[rs]
+		need := per - slabCount(b.segs, rs, t)
 		pos := rs * t
 		for need > 0 {
 			// Advance pos past every segment s with |pos-s| <= w. The
@@ -556,17 +535,18 @@ func (g *Graph) padBox(b *faultBox, sc *Scratch) (int, error) {
 	}
 	b.segs = append(b.segs[:0], all...)
 	sc.segMerge = all
-	b.perSlab = make([][]int, slabs)
-	for _, s := range b.segs {
-		rs := s / t
-		b.perSlab[rs] = append(b.perSlab[rs], s)
-	}
-	for rs, list := range b.perSlab {
-		if len(list) != per {
-			return added, fterr.New(fterr.Internal, "core", "slab %d has %d segments, want %d", rs, len(list), per)
+	// buildPinned reads slab rs as segs[rs*per:(rs+1)*per].
+	for rs := 0; rs < slabs; rs++ {
+		if c := slabCount(b.segs, rs, t); c != per {
+			return added, fterr.New(fterr.Internal, "core", "slab %d has %d segments, want %d", rs, c, per)
 		}
 	}
 	return added, nil
+}
+
+// slabCount returns the number of sorted segments in relative slab rs.
+func slabCount(segs []int, rs, t int) int {
+	return sort.SearchInts(segs, (rs+1)*t) - sort.SearchInts(segs, rs*t)
 }
 
 // buildPinned fills the dense pinned-corner table: entry
@@ -589,7 +569,7 @@ func (g *Graph) buildPinned(boxes []*faultBox, sc *Scratch, cornerShape grid.Sha
 		for rs := 0; rs < b.ext[0]; rs++ {
 			slab := grid.Add(b.lo[0], rs, numSlabs)
 			locals := sc.localsSlice(per)
-			for j, s := range b.perSlab[rs] {
+			for j, s := range b.segs[rs*per : (rs+1)*per] {
 				locals[j] = float64(s - rs*t)
 			}
 			// Pin every corner of the box footprint (ext+1 lattice points

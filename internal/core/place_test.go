@@ -233,10 +233,7 @@ func TestMergeBoxesFixedPoint(t *testing.T) {
 	mk := func(r, c int) *faultBox {
 		return &faultBox{lo: []int{r, c}, ext: []int{1, 1}}
 	}
-	boxes, err := mergeBoxes([]*faultBox{mk(2, 2), mk(3, 3), mk(4, 4), mk(15, 15)}, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
+	boxes := mergeBoxes([]*faultBox{mk(2, 2), mk(3, 3), mk(4, 4), mk(15, 15)}, shape)
 	// The diagonal chain (2,2)-(3,3)-(4,4) is Chebyshev-adjacent pairwise
 	// and must collapse into one box; (15,15) stays alone. Boxes at
 	// Chebyshev distance 2 (one separating white tile) must NOT merge —
@@ -244,10 +241,7 @@ func TestMergeBoxesFixedPoint(t *testing.T) {
 	if len(boxes) != 2 {
 		t.Fatalf("%d boxes after merge, want 2", len(boxes))
 	}
-	sep, err := mergeBoxes([]*faultBox{mk(2, 2), mk(4, 4)}, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sep := mergeBoxes([]*faultBox{mk(2, 2), mk(4, 4)}, shape)
 	if len(sep) != 2 {
 		t.Fatalf("distance-2 boxes merged (lost the white separator)")
 	}
@@ -339,12 +333,18 @@ func TestPadBoxFillsEverySlab(t *testing.T) {
 		// added = total - original segments
 		t.Logf("added %d fillers", added)
 	}
-	if len(box.perSlab) != 3 {
-		t.Fatalf("perSlab has %d slabs", len(box.perSlab))
+	if len(box.segs) != 3*per {
+		t.Fatalf("%d segments over 3 slabs, want %d", len(box.segs), 3*per)
 	}
-	for rs, list := range box.perSlab {
-		if len(list) != per {
-			t.Errorf("slab %d has %d segments, want %d", rs, len(list), per)
+	for rs := 0; rs < 3; rs++ {
+		n := 0
+		for _, s := range box.segs {
+			if s/g.P.Tile() == rs {
+				n++
+			}
+		}
+		if n != per {
+			t.Errorf("slab %d has %d segments, want %d", rs, n, per)
 		}
 	}
 	for i := 1; i < len(box.segs); i++ {

@@ -82,11 +82,10 @@ import (
 
 // Column states during one step's incremental extraction.
 const (
-	swKept      uint8 = iota // bands unchanged, vector provisionally kept
-	swChanged                // band values changed, vector must be re-derived
-	swAnchor                 // unchanged and connected to column 0: trusted
-	swConfirmed              // unchanged island column whose kept vector was re-derived and matched
-	swAssigned               // vector re-derived this step
+	swKept     uint8 = iota // bands unchanged, vector provisionally kept
+	swChanged               // band values changed, vector must be re-derived
+	swTrusted               // unchanged, and connected to column 0 or re-derived and matched
+	swAssigned              // vector re-derived this step
 )
 
 // Session is the bidirectional delta-evaluation engine. It owns its
@@ -158,7 +157,6 @@ type Session struct {
 	queue   []int
 	recomp  []int32 // columns whose vector was re-derived this step
 	oldDev  []bool  // dev flag each recomp column had before re-derivation
-	pending []int32
 	verify  []int32
 
 	cleanVec []int32 // island-probe vector (extractIncremental)
@@ -658,12 +656,12 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	} else {
 		// Trust region: the component of unchanged columns containing the
 		// anchor column 0 keeps its vectors verbatim.
-		state[0] = swAnchor
+		state[0] = swTrusted
 		queue = append(queue, 0)
 		for head := 0; head < len(queue); head++ {
 			for _, zn := range g.columnNeighbors(queue[head]) {
 				if state[zn] == swKept {
-					state[zn] = swAnchor
+					state[zn] = swTrusted
 					queue = append(queue, int(zn))
 				}
 			}
@@ -672,9 +670,11 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 	}
 
 	// Re-derive the changed region, flooding BFS out of trusted columns.
-	// Seeding may need several passes: a changed component enclosed by
-	// not-yet-confirmed islands becomes seedable only after those islands
-	// are contacted. assign transfers zFrom -> zTo into zTo's backing slot.
+	// One seeding pass suffices: trust-region columns never change state
+	// after the BFS above, so the pass tries every changed column against
+	// them, and every column that becomes trusted or assigned later enters
+	// the flood queue, whose walk assigns all its changed neighbours.
+	// assign transfers zFrom -> zTo into zTo's backing slot.
 	//lint:allow hotpath assign is called only inside this function and never escapes; one stack closure per step, not per column
 	assign := func(zFrom, zTo int) error {
 		dst := rowflat[zTo*n : (zTo+1)*n]
@@ -688,87 +688,79 @@ func (s *Session) extractIncremental(bs *bands.Set, tpl *template) error {
 		queue = append(queue, zTo)
 		return nil
 	}
-	s.pending = append(s.pending[:0], s.changed...)
-	for len(s.pending) > 0 {
-		// Seed every pending changed column that touches a trusted one.
-		rest := s.pending[:0]
-		progress := false
-		for _, z32 := range s.pending {
-			z := int(z32)
-			if state[z] != swChanged {
-				progress = true // assigned by an earlier flood
-				continue
-			}
-			seeded := false
-			for _, zn := range g.columnNeighbors(z) {
-				if st := state[zn]; st == swAnchor || st == swConfirmed || st == swAssigned {
-					if err := assign(int(zn), z); err != nil {
-						return err
-					}
-					seeded = true
-					break
+	// Seed every changed column that touches a trusted one.
+	for _, z32 := range s.changed {
+		z := int(z32)
+		if state[z] != swChanged {
+			continue // the changed anchor, pre-assigned above
+		}
+		for _, zn := range g.columnNeighbors(z) {
+			if st := state[zn]; st == swTrusted || st == swAssigned {
+				if err := assign(int(zn), z); err != nil {
+					return err
 				}
-			}
-			if seeded {
-				progress = true
-			} else {
-				rest = append(rest, z32)
+				break
 			}
 		}
-		s.pending = rest
-		if !progress && len(s.pending) > 0 {
-			return fterr.New(fterr.Internal, "core", "%d changed columns unreachable from any trusted column", len(s.pending))
-		}
-		// Flood: walk the frontier of trusted vectors, re-deriving changed
-		// columns and probing kept islands on first contact. A confirmed
-		// island column spreads confirmation through its whole component
-		// without further O(n) comparisons (Lemma 7 makes the component
-		// all-or-nothing) and is itself a valid transfer source, so trust
-		// crosses islands to reach changed regions on their far side.
-		for head := 0; head < len(queue); head++ {
-			z := queue[head]
-			confirmed := state[z] == swConfirmed
-			for _, zn32 := range g.columnNeighbors(z) {
-				zn := int(zn32)
-				switch state[zn] {
-				case swChanged:
-					if err := assign(z, zn); err != nil {
-						return err
-					}
-				case swKept:
-					if confirmed {
-						// Same island as an already-validated column.
-						state[zn] = swConfirmed
-						queue = append(queue, zn)
-						continue
-					}
-					// First contact with a kept island: re-derive its vector
-					// once. If it matches, the whole component is valid; if
-					// not, the island genuinely shifted — flood into it.
-					tmp := s.cleanVec
-					oldDev := dev[zn]
-					if err := g.transferFast(bs, base, sc, z, zn, rowmap[z], tmp, dev); err != nil {
-						return err
-					}
-					if int32Equal(tmp, rowmap[zn]) {
-						dev[zn] = oldDev
-						state[zn] = swConfirmed
-						queue = append(queue, zn)
-						continue
-					}
-					dst := rowflat[zn*n : (zn+1)*n]
-					copy(dst, tmp)
-					rowmap[zn] = dst
-					s.oldDev = append(s.oldDev, oldDev)
-					state[zn] = swAssigned
-					s.recomp = append(s.recomp, int32(zn))
-					queue = append(queue, zn)
-				}
-			}
-		}
-		queue = queue[:0]
 	}
-	s.queue = queue
+	// Flood: walk the frontier of trusted vectors, re-deriving changed
+	// columns and probing kept islands on first contact. A trusted island
+	// column spreads trust through its whole component without further
+	// O(n) comparisons (Lemma 7 makes the component all-or-nothing) and is
+	// itself a valid transfer source, so trust crosses islands to reach
+	// changed regions on their far side. Trust-region columns never enter
+	// the queue, so a queued trusted column is always a matched island.
+	for head := 0; head < len(queue); head++ {
+		z := queue[head]
+		confirmed := state[z] == swTrusted
+		for _, zn32 := range g.columnNeighbors(z) {
+			zn := int(zn32)
+			switch state[zn] {
+			case swChanged:
+				if err := assign(z, zn); err != nil {
+					return err
+				}
+			case swKept:
+				if confirmed {
+					// Same island as an already-validated column.
+					state[zn] = swTrusted
+					queue = append(queue, zn)
+					continue
+				}
+				// First contact with a kept island: re-derive its vector
+				// once. If it matches, the whole component is valid; if
+				// not, the island genuinely shifted — flood into it.
+				tmp := s.cleanVec
+				oldDev := dev[zn]
+				if err := g.transferFast(bs, base, sc, z, zn, rowmap[z], tmp, dev); err != nil {
+					return err
+				}
+				if int32Equal(tmp, rowmap[zn]) {
+					dev[zn] = oldDev
+					state[zn] = swTrusted
+					queue = append(queue, zn)
+					continue
+				}
+				dst := rowflat[zn*n : (zn+1)*n]
+				copy(dst, tmp)
+				rowmap[zn] = dst
+				s.oldDev = append(s.oldDev, oldDev)
+				state[zn] = swAssigned
+				s.recomp = append(s.recomp, int32(zn))
+				queue = append(queue, zn)
+			}
+		}
+	}
+	s.queue = queue[:0]
+	unreached := 0
+	for _, z32 := range s.changed {
+		if state[z32] == swChanged {
+			unreached++
+		}
+	}
+	if unreached > 0 {
+		return fterr.New(fterr.Internal, "core", "%d changed columns unreachable from any trusted column", unreached)
+	}
 
 	// Mark the map entries of re-derived columns stale: deviating vectors
 	// are written out by the next map sync, and a vector restored to base

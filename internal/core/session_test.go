@@ -170,7 +170,7 @@ func TestSessionHealToTemplate(t *testing.T) {
 			t.Fatalf("session went cold healing fault %d", i)
 		}
 	}
-	if got := ses.cur.DirtyCount(); got != 0 {
+	if got := len(ses.cur.DirtyColumns()); got != 0 {
 		t.Fatalf("fully healed session still has %d dirty columns", got)
 	}
 	// Forward again: the empty-state diff must rebuild the footprint.

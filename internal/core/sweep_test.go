@@ -223,7 +223,7 @@ func TestSweepFullFootprint(t *testing.T) {
 		if errFast != nil {
 			continue
 		}
-		if resFast.Bands.DirtyCount() == g.NumCols {
+		if len(resFast.Bands.DirtyColumns()) == g.NumCols {
 			full++
 		}
 		for i := range resDense.Embedding.Map {

@@ -84,18 +84,6 @@ func (s *EdgeSet) Clear() {
 	s.list = s.list[:0]
 }
 
-// Clone returns an independent copy.
-func (s *EdgeSet) Clone() *EdgeSet {
-	c := &EdgeSet{
-		idx:  make(map[Edge]int, len(s.idx)),
-		list: append([]Edge(nil), s.list...),
-	}
-	for e, i := range s.idx {
-		c.idx[e] = i
-	}
-	return c
-}
-
 // Nth returns the i-th edge of the internal list (0 <= i < Count). The
 // order is mutation-history dependent; use it only for uniform random
 // draws with an index the caller chose (e.g. Gillespie repair events).
@@ -113,13 +101,6 @@ func (s *EdgeSet) Slice() []Edge {
 		return out[a].V < out[b].V
 	})
 	return out
-}
-
-// ForEach calls fn for every faulty edge in canonical sorted order.
-func (s *EdgeSet) ForEach(fn func(Edge)) {
-	for _, e := range s.Slice() {
-		fn(e)
-	}
 }
 
 // Charger maintains the paper's Theorem 2 edge-fault reduction as an
@@ -265,6 +246,8 @@ func (c *Charger) ClearEdge(u, v int) (changed bool, eff int) {
 // list — nodes ∪ {ChargedEndpoint(e) : e in edges} — as a fresh set.
 // Deterministic and order-independent by construction (a pure function
 // of the two sets). The incremental Charger maintains exactly this set.
+//
+//lint:allow unused the batch reference the Charger tests in fault and churn compare the incremental set against
 func ChargeEdges(nodes *Set, edges []Edge) *Set {
 	eff := nodes.Clone()
 	for _, e := range edges {

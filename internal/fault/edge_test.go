@@ -86,21 +86,6 @@ func TestEdgeSetSliceSorted(t *testing.T) {
 	}
 }
 
-func TestEdgeSetCloneIndependent(t *testing.T) {
-	s := NewEdgeSet()
-	s.Add(1, 2)
-	s.Add(3, 4)
-	c := s.Clone()
-	c.Remove(1, 2)
-	c.Add(5, 6)
-	if !s.Has(1, 2) || s.Has(5, 6) {
-		t.Fatal("mutating the clone leaked into the original")
-	}
-	if c.Has(1, 2) || !c.Has(5, 6) || !c.Has(3, 4) {
-		t.Fatal("clone state wrong")
-	}
-}
-
 // TestChargerOrderIndependence is the charging pass's core property:
 // reporting the same node and edge faults in any interleaved order
 // produces the identical effective (charged) node set. The effective set

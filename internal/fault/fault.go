@@ -189,11 +189,12 @@ func (s *Set) BernoulliRecord(r rng.Source, p float64, added []int) []int {
 // slice returned. Skips between removals are sampled geometrically over
 // the rank sequence of faulty nodes, so the random-stream consumption is
 // O(count·p) — symmetric to BernoulliRecord's O(n·p) — and the walk
-// itself costs one pass over the occupied words. The churn engine uses the
-// returned delta to tell the incremental pipeline which columns lost a
-// fault, exactly as Extend's added list reports which gained one.
+// itself costs one pass over the occupied words. The returned delta tells
+// the incremental pipeline which columns lost a fault, exactly as
+// Extend's added list reports which gained one.
 //
 //ftnet:hotpath
+//lint:allow unused it generates the removal steps of the internal/core session goldens
 func (s *Set) RemoveRecord(r rng.Source, p float64, removed []int) []int {
 	if p <= 0 || s.count == 0 {
 		return removed
@@ -235,6 +236,8 @@ func (s *Set) RemoveRecord(r rng.Source, p float64, removed []int) []int {
 // addition batch: RemoveAll(added) exactly reverts BernoulliRecord or
 // Extend, because those lists contain only genuinely-new nodes). Nodes
 // that are already healthy are skipped.
+//
+//lint:allow unused the internal/core session goldens use it to undo recorded additions
 func (s *Set) RemoveAll(nodes []int) {
 	for _, i := range nodes {
 		s.Remove(i)

@@ -8,17 +8,14 @@
 // an optional human message, and the wrapped cause. E satisfies the
 // errors.Is/As chain contract, so sentinel comparisons
 // (errors.Is(err, ftnet.ErrNotTolerated)) keep working across the
-// wrapping; CodeOf walks the same chain to find the innermost code.
+// wrapping; CodeOf walks the same chain to find the outermost code.
 //
 // The errcodes analyzer (internal/analysis/errcodes, run by the
 // ftnetvet CI step) enforces adoption: public packages must not
 // construct bare fmt.Errorf/errors.New errors.
 package fterr
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Code is a stable, wire-visible error code. Codes are append-only:
 // clients program against them (retry classes, resync triggers), so a
@@ -260,15 +257,6 @@ func Retryable(err error) bool {
 
 // Is reports whether err carries the given code.
 func Is(err error, code Code) bool { return err != nil && CodeOf(err) == code }
-
-// Op returns the outermost op annotation on err's chain, or "".
-func Op(err error) string {
-	var e *E
-	for errors.As(err, &e) {
-		return e.Op
-	}
-	return ""
-}
 
 // Wire is the typed JSON error body every ftnetd error response
 // carries (and every SDK decodes): {code, message, retryable,

@@ -177,12 +177,6 @@ func TestWrapNilAndMessages(t *testing.T) {
 			t.Errorf("Error() = %q, missing %q", msg, want)
 		}
 	}
-	if got := Op(err); got != "ftnet.AddFaults" {
-		t.Errorf("Op = %q", got)
-	}
-	if got := Op(errors.New("bare")); got != "" {
-		t.Errorf("Op(bare) = %q, want empty", got)
-	}
 }
 
 func TestWireJSONShape(t *testing.T) {

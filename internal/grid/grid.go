@@ -238,18 +238,3 @@ func (s Shape) MeshNeighbors(idx int, buf []int) []int {
 	}
 	return buf
 }
-
-// ChebyshevDist returns the toroidal Chebyshev (king-move) distance between
-// the points with flat indices a and b.
-func (s Shape) ChebyshevDist(a, b int) int {
-	ca := s.Coord(a, make([]int, len(s)))
-	cb := s.Coord(b, make([]int, len(s)))
-	max := 0
-	for i := range s {
-		d := Dist(ca[i], cb[i], s[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}

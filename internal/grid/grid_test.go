@@ -149,15 +149,6 @@ func TestMeshNeighborsCorner(t *testing.T) {
 	}
 }
 
-func TestChebyshevDist(t *testing.T) {
-	s := Shape{10, 10}
-	a := s.Index([]int{9, 9})
-	b := s.Index([]int{0, 1})
-	if got := s.ChebyshevDist(a, b); got != 2 {
-		t.Errorf("ChebyshevDist = %d, want 2", got)
-	}
-}
-
 func TestIntervalsIntersect(t *testing.T) {
 	cases := []struct {
 		lo1, e1, lo2, e2, n int

@@ -71,9 +71,6 @@ func (m *Machine) Route(src, dst int) []int {
 	return path
 }
 
-// Hops returns the torus distance covered by Route.
-func (m *Machine) Hops(src, dst int) int { return len(m.Route(src, dst)) - 1 }
-
 // CongestionStats aggregates link loads from a traffic pattern.
 type CongestionStats struct {
 	Packets  int

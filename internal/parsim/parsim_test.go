@@ -43,17 +43,17 @@ func TestRouteDimensionOrdered(t *testing.T) {
 
 func TestRouteTakesShortWayAround(t *testing.T) {
 	m := idealMachine(t, 10)
-	if got := m.Hops(0, 9); got != 1 {
+	if got := len(m.Route(0, 9)) - 1; got != 1 {
 		t.Errorf("wraparound hop count = %d, want 1", got)
 	}
-	if got := m.Hops(0, 5); got != 5 {
+	if got := len(m.Route(0, 5)) - 1; got != 5 {
 		t.Errorf("antipodal hop count = %d, want 5", got)
 	}
 }
 
 func TestRouteSelf(t *testing.T) {
 	m := idealMachine(t, 5, 5)
-	if got := m.Hops(7, 7); got != 0 {
+	if got := len(m.Route(7, 7)) - 1; got != 0 {
 		t.Errorf("self route hops = %d", got)
 	}
 }

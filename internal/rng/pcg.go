@@ -69,15 +69,9 @@ func (p *PCG) Float64() float64 { return float64v(p) }
 // Bernoulli returns true with probability pr.
 func (p *PCG) Bernoulli(pr float64) bool { return bernoulli(p, pr) }
 
-// Binomial returns a sample from Binomial(n, pr) by explicit trials.
-func (p *PCG) Binomial(n int, pr float64) int { return binomial(p, n, pr) }
-
 // Geometric returns the number of failures before the first success with
 // success probability pr in (0,1].
 func (p *PCG) Geometric(pr float64) int { return geometric(p, pr) }
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (p *PCG) Perm(n int) []int { return perm(p, n) }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.
 func (p *PCG) Shuffle(n int, swap func(i, j int)) { shuffle(p, n, swap) }

@@ -94,15 +94,3 @@ func TestPCGMatchesRandDistributions(t *testing.T) {
 		t.Fatalf("PCG and Rand rates disagree: %d vs %d", cp, cr)
 	}
 }
-
-func TestPCGPermValid(t *testing.T) {
-	p := NewPCG(11, 13)
-	perm := p.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range perm {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", perm)
-		}
-		seen[v] = true
-	}
-}

@@ -120,11 +120,6 @@ func (r *Rand) Perm(n int) []int { return perm(r, n) }
 // Shuffle permutes the first n elements using swap, Fisher–Yates style.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { shuffle(r, n, swap) }
 
-// Binomial returns a sample from Binomial(n, p). It uses explicit trials
-// for small n·p and a normal approximation fallback is intentionally
-// avoided to keep determinism exact across platforms.
-func (r *Rand) Binomial(n int, p float64) int { return binomial(r, n, p) }
-
 // Geometric returns a sample of the number of failures before the first
 // success with success probability p in (0,1]. Used for fast sparse
 // Bernoulli sampling via skip distances.
@@ -180,16 +175,6 @@ func shuffle(r bitSource, n int, swap func(i, j int)) {
 		j := intn(r, i+1)
 		swap(i, j)
 	}
-}
-
-func binomial(r bitSource, n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if bernoulli(r, p) {
-			k++
-		}
-	}
-	return k
 }
 
 func geometric(r bitSource, p float64) int {

@@ -121,18 +121,6 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
-func TestBinomialMean(t *testing.T) {
-	r := New(17)
-	sum := 0
-	for i := 0; i < 2000; i++ {
-		sum += r.Binomial(100, 0.3)
-	}
-	mean := float64(sum) / 2000
-	if mean < 28 || mean > 32 {
-		t.Errorf("Binomial(100,0.3) mean = %v, want ~30", mean)
-	}
-}
-
 func TestHash64Sensitivity(t *testing.T) {
 	if Hash64(1, 2) == Hash64(2, 1) {
 		t.Error("Hash64 should be order sensitive")

@@ -146,41 +146,3 @@ func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
 }
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs by nearest-rank on a
-// sorted copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sortFloats(s)
-	i := int(q * float64(len(s)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
-func sortFloats(a []float64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

@@ -57,23 +57,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestMeanQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Mean(xs) != 2 {
-		t.Errorf("Mean = %v", Mean(xs))
-	}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 3 {
-		t.Errorf("Quantile extremes wrong")
-	}
-	if Mean(nil) != 0 || Quantile(nil, 0.5) != 0 {
-		t.Error("empty input should return 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Error("Quantile mutated input")
-	}
-}
-
 func TestBinomTail(t *testing.T) {
 	// P(X >= 0) = 1; P(X >= n+1) = 0.
 	if BinomTail(10, 0.5, 0) != 1 {

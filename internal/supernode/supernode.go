@@ -184,9 +184,6 @@ func (g *Graph) NumNodes() int { return g.P.NumNodes() }
 // Supernode returns the supernode id of node v.
 func (g *Graph) Supernode(v int) int { return v / g.P.H }
 
-// Slot returns the within-supernode slot of node v.
-func (g *Graph) Slot(v int) int { return v % g.P.H }
-
 // Adjacent reports host adjacency.
 func (g *Graph) Adjacent(u, v int) bool {
 	if u == v {

@@ -66,65 +66,12 @@ func (g *Graph) NumNodes() int { return g.N() }
 // Dims returns the dimensionality d.
 func (g *Graph) Dims() int { return len(g.Shape) }
 
-// Degree returns the maximum degree: 2d for the torus; 2d for interior mesh
-// nodes (corner/edge nodes have fewer neighbors).
-func (g *Graph) Degree() int { return 2 * len(g.Shape) }
-
 // Neighbors appends the neighbor indices of node idx to buf and returns it.
 func (g *Graph) Neighbors(idx int, buf []int) []int {
 	if g.Kind == TorusKind {
 		return g.Shape.TorusNeighbors(idx, buf)
 	}
 	return g.Shape.MeshNeighbors(idx, buf)
-}
-
-// Adjacent reports whether nodes a and b are adjacent.
-func (g *Graph) Adjacent(a, b int) bool {
-	if a == b {
-		return false
-	}
-	ca := g.Shape.Coord(a, nil)
-	cb := g.Shape.Coord(b, nil)
-	diffDim := -1
-	for i := range g.Shape {
-		if ca[i] != cb[i] {
-			if diffDim >= 0 {
-				return false
-			}
-			diffDim = i
-		}
-	}
-	if diffDim < 0 {
-		return false
-	}
-	d := ca[diffDim] - cb[diffDim]
-	if d == 1 || d == -1 {
-		return true
-	}
-	if g.Kind == TorusKind {
-		n := g.Shape[diffDim]
-		return d == n-1 || d == -(n-1)
-	}
-	return false
-}
-
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for i, n := range g.Shape {
-		per := n // cycle: n edges along this dimension per line
-		if g.Kind == MeshKind {
-			per = n - 1
-		}
-		others := 1
-		for j, m := range g.Shape {
-			if j != i {
-				others *= m
-			}
-		}
-		total += per * others
-	}
-	return total
 }
 
 // EachEdge calls fn(u, v) once per edge with u < v... ordering follows the
@@ -148,43 +95,4 @@ func (g *Graph) EachEdge(fn func(u, v int)) {
 			coord[i] = orig
 		}
 	}
-}
-
-// Column returns the flat indices of column z of a d-dimensional torus
-// viewed as C_{n1} x T' (paper Section 2): the nodes (i, z) for all i in
-// the first dimension. z indexes the (d-1)-dimensional column space.
-func (g *Graph) Column(z int) []int {
-	d := g.Dims()
-	colShape := grid.Shape(g.Shape[1:])
-	zCoord := colShape.Coord(z, make([]int, d-1))
-	out := make([]int, g.Shape[0])
-	full := make([]int, d)
-	copy(full[1:], zCoord)
-	for i := 0; i < g.Shape[0]; i++ {
-		full[0] = i
-		out[i] = g.Shape.Index(full)
-	}
-	return out
-}
-
-// NumColumns returns the number of columns (size of the column space).
-func (g *Graph) NumColumns() int {
-	return grid.Shape(g.Shape[1:]).Size()
-}
-
-// Row returns the flat indices of row i: the nodes (i, z) for all z.
-func (g *Graph) Row(i int) []int {
-	cols := g.NumColumns()
-	out := make([]int, cols)
-	d := g.Dims()
-	colShape := grid.Shape(g.Shape[1:])
-	zCoord := make([]int, d-1)
-	full := make([]int, d)
-	full[0] = i
-	for z := 0; z < cols; z++ {
-		colShape.Coord(z, zCoord)
-		copy(full[1:], zCoord)
-		out[z] = g.Shape.Index(full)
-	}
-	return out
 }

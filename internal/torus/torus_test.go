@@ -6,6 +6,57 @@ import (
 	"ftnet/internal/grid"
 )
 
+// Adjacent reports whether nodes a and b are adjacent, from coordinates
+// alone: the oracle the Neighbors and EachEdge tests check against.
+func (g *Graph) Adjacent(a, b int) bool {
+	if a == b {
+		return false
+	}
+	ca := g.Shape.Coord(a, nil)
+	cb := g.Shape.Coord(b, nil)
+	diffDim := -1
+	for i := range g.Shape {
+		if ca[i] != cb[i] {
+			if diffDim >= 0 {
+				return false
+			}
+			diffDim = i
+		}
+	}
+	if diffDim < 0 {
+		return false
+	}
+	d := ca[diffDim] - cb[diffDim]
+	if d == 1 || d == -1 {
+		return true
+	}
+	if g.Kind == TorusKind {
+		n := g.Shape[diffDim]
+		return d == n-1 || d == -(n-1)
+	}
+	return false
+}
+
+// NumEdges returns the number of edges in closed form: the count
+// EachEdge must emit.
+func (g *Graph) NumEdges() int {
+	total := 0
+	for i, n := range g.Shape {
+		per := n // cycle: n edges along this dimension per line
+		if g.Kind == MeshKind {
+			per = n - 1
+		}
+		others := 1
+		for j, m := range g.Shape {
+			if j != i {
+				others *= m
+			}
+		}
+		total += per * others
+	}
+	return total
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(TorusKind, grid.Shape{2, 5}); err == nil {
 		t.Error("torus side 2 should be rejected")
@@ -82,52 +133,6 @@ func TestMeshWrapNotAdjacent(t *testing.T) {
 	tg, _ := NewUniform(TorusKind, 1, 6)
 	if !tg.Adjacent(0, 5) {
 		t.Error("torus endpoints should wrap")
-	}
-}
-
-func TestRowsAndColumns(t *testing.T) {
-	g, _ := NewUniform(TorusKind, 2, 4)
-	col := g.Column(2)
-	if len(col) != 4 {
-		t.Fatalf("column length %d", len(col))
-	}
-	for i, idx := range col {
-		c := g.Shape.Coord(idx, nil)
-		if c[0] != i || c[1] != 2 {
-			t.Errorf("Column(2)[%d] = %v", i, c)
-		}
-	}
-	row := g.Row(3)
-	if len(row) != 4 {
-		t.Fatalf("row length %d", len(row))
-	}
-	for z, idx := range row {
-		c := g.Shape.Coord(idx, nil)
-		if c[0] != 3 || c[1] != z {
-			t.Errorf("Row(3)[%d] = %v", z, c)
-		}
-	}
-	if g.NumColumns() != 4 {
-		t.Errorf("NumColumns = %d", g.NumColumns())
-	}
-}
-
-func TestColumnsIn3D(t *testing.T) {
-	g, _ := New(TorusKind, grid.Shape{3, 4, 5})
-	if g.NumColumns() != 20 {
-		t.Fatalf("NumColumns = %d, want 20", g.NumColumns())
-	}
-	col := g.Column(7)
-	if len(col) != 3 {
-		t.Fatalf("column length %d, want 3", len(col))
-	}
-	// Consecutive column entries differ only in coordinate 0.
-	for i := 1; i < len(col); i++ {
-		a := g.Shape.Coord(col[i-1], nil)
-		b := g.Shape.Coord(col[i], nil)
-		if a[1] != b[1] || a[2] != b[2] || b[0] != a[0]+1 {
-			t.Errorf("column not aligned: %v -> %v", a, b)
-		}
 	}
 }
 

@@ -122,9 +122,7 @@ type Delta struct {
 	Checksum uint64
 }
 
-// NumCols returns the guest column count Side^(Dims-1).
-func (s *Snapshot) NumCols() int { return numCols(s.Side, s.Dims) }
-
+// numCols returns the guest column count side^(dims-1).
 func numCols(side, dims int) int {
 	n := 1
 	for i := 1; i < dims; i++ {
@@ -683,44 +681,53 @@ func DecodeDelta(data []byte) (*Delta, error) {
 // Applying deltas.
 
 // Apply patches base forward with d and returns the full snapshot at
-// d.ToGeneration. It refuses (ErrMismatch) a delta for a different
-// topology, geometry, or base generation, and re-verifies the patched
-// map against the delta's checksum — a stale or mangled chain can never
-// silently produce a state the server did not serve. base is not
-// modified.
+// d.ToGeneration, with ApplyInPlace's checks on a copy of base. base is
+// not modified.
 func Apply(base *Snapshot, d *Delta) (*Snapshot, error) {
-	if base.Topology != d.Topology {
-		return nil, fmt.Errorf("%w: topology %q vs %q", ErrMismatch, base.Topology, d.Topology)
+	s := *base
+	s.Map = append([]int(nil), base.Map...)
+	s.Faults, s.Edges = nil, nil
+	if err := ApplyInPlace(&s, d); err != nil {
+		return nil, err
 	}
-	if base.Side != d.Side || base.Dims != d.Dims {
-		return nil, fmt.Errorf("%w: geometry %d^%d vs %d^%d", ErrMismatch, base.Side, base.Dims, d.Side, d.Dims)
+	return &s, nil
+}
+
+// ApplyInPlace patches s forward with d to the full snapshot at
+// d.ToGeneration. It refuses (ErrMismatch, resync_required) a delta for
+// a different topology, geometry or base generation, or with a malformed
+// column update, and re-verifies the patched map against the delta's
+// checksum: a failure there is corrupt_payload, still wrapping
+// ErrMismatch. A stale or mangled chain can never silently produce a
+// state the server did not serve; on any error s may be left partly
+// patched and the caller must resync.
+func ApplyInPlace(s *Snapshot, d *Delta) error {
+	if s.Topology != d.Topology {
+		return fmt.Errorf("%w: topology %q vs %q", ErrMismatch, s.Topology, d.Topology)
 	}
-	if base.Generation != d.FromGeneration {
-		return nil, fmt.Errorf("%w: delta starts at generation %d, snapshot is at %d",
-			ErrMismatch, d.FromGeneration, base.Generation)
+	if s.Side != d.Side || s.Dims != d.Dims {
+		return fmt.Errorf("%w: geometry %d^%d vs %d^%d", ErrMismatch, s.Side, s.Dims, d.Side, d.Dims)
+	}
+	if s.Generation != d.FromGeneration {
+		return fmt.Errorf("%w: delta starts at generation %d, snapshot is at %d",
+			ErrMismatch, d.FromGeneration, s.Generation)
 	}
 	nc := numCols(d.Side, d.Dims)
-	m := append([]int(nil), base.Map...)
 	for _, cu := range d.Cols {
 		if cu.Col < 0 || cu.Col >= nc || len(cu.Vals) != d.Side {
-			return nil, fmt.Errorf("%w: malformed column update %d", ErrMismatch, cu.Col)
+			return fmt.Errorf("%w: malformed column update %d", ErrMismatch, cu.Col)
 		}
 		for j, v := range cu.Vals {
-			m[j*nc+cu.Col] = v
+			s.Map[j*nc+cu.Col] = v
 		}
 	}
-	if got := Checksum(m); got != d.Checksum {
-		return nil, fmt.Errorf("%w: patched map checksum %016x does not match delta %016x",
-			ErrMismatch, got, d.Checksum)
+	if got := Checksum(s.Map); got != d.Checksum {
+		return fterr.Wrapf(fterr.Corrupt, "wire.apply", ErrMismatch,
+			"patched map checksum %016x does not match delta %016x", got, d.Checksum)
 	}
-	return &Snapshot{
-		Topology:   d.Topology,
-		Generation: d.ToGeneration,
-		Side:       d.Side,
-		Dims:       d.Dims,
-		Faults:     append([]int(nil), d.Faults...),
-		Edges:      append([][2]int(nil), d.Edges...),
-		Map:        m,
-		Checksum:   d.Checksum,
-	}, nil
+	s.Generation = d.ToGeneration
+	s.Faults = append(s.Faults[:0], d.Faults...)
+	s.Edges = append(s.Edges[:0], d.Edges...)
+	s.Checksum = d.Checksum
+	return nil
 }

@@ -95,7 +95,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestDeltaRoundTripAndApply(t *testing.T) {
 	r := rng.NewPCG(11, 2)
 	base := randomSnapshot(r, 8, 2)
-	nc := base.NumCols()
+	nc := numCols(base.Side, base.Dims)
 
 	head := append([]int(nil), base.Map...)
 	changed := []int{1, 3, 6}

@@ -13,6 +13,9 @@
 //	              string concat/capturing closures).
 //	errcodes    — errors on the public failure surface carry fterr
 //	              codes (errors.New forbidden, fmt.Errorf needs %w).
+//	unused      — every declaration is referenced by some non-test
+//	              code (delete it, move it into its tests, or allow
+//	              it when other packages' tests import it).
 //
 // A finding that is audited and genuinely safe escapes with
 // "//lint:allow <analyzer> <justification>" — the justification is
@@ -35,6 +38,7 @@ import (
 	"ftnet/internal/analysis/determinism"
 	"ftnet/internal/analysis/errcodes"
 	"ftnet/internal/analysis/hotpath"
+	"ftnet/internal/analysis/unused"
 )
 
 func main() {
@@ -52,6 +56,7 @@ func main() {
 		atomics.New(),
 		hotpath.New(),
 		errcodes.New(mod.Path),
+		unused.New(),
 	})
 	if len(diags) == 0 {
 		return
