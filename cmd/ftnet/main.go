@@ -11,7 +11,6 @@
 //	ftnet churn     -side 200 -arrival 2e-5 -repair 1 -horizon 20 [-edge-arrival R] [-edge-repair R] [-trials N] [-workers N] [-independent]
 //	ftnet edges     -d 2 -side 64 -eps 0.5 -count 2
 //	ftnet serve     -listen 127.0.0.1:8080 -topology id=main,d=2,side=200,eps=0.5 [-snapshot-dir DIR]
-//	ftnet loadgen   -side 64 -duration 10s -json-clients 8 -delta-clients 8 [-out BENCH.json]
 //	ftnet wire      -in payload.bin [-base full.bin]
 //
 // Each subcommand prints the host resources, the injected fault count,
@@ -20,10 +19,9 @@
 // lifetime trials of a dynamic fault process — Poisson per-node
 // arrivals and per-edge link flaps, exponential per-fault repairs,
 // optional adversarial node and edge bursts — re-embedding
-// incrementally after every event (internal/churn). loadgen
-// benchmarks the ftnetd serve paths (JSON-full vs binary-delta vs watch
-// streams) against a churning in-process daemon; wire decodes a binary
-// embedding payload to the canonical JSON document for offline diffing.
+// incrementally after every event (internal/churn). serve runs the
+// ftnetd daemon; wire decodes a binary embedding payload to the
+// canonical JSON document for offline diffing.
 package main
 
 import (
@@ -66,8 +64,6 @@ func main() {
 		err = runEdges(os.Args[2:])
 	case "serve":
 		err = runServe(os.Args[2:])
-	case "loadgen":
-		err = runLoadgen(os.Args[2:])
 	case "wire":
 		err = runWire(os.Args[2:])
 	default:
@@ -87,7 +83,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ftnet {random|clique|worstcase|health|simulate|churn|edges|serve|loadgen|wire} [flags]   (run with -h for flags)")
+	fmt.Fprintln(os.Stderr, "usage: ftnet {random|clique|worstcase|health|simulate|churn|edges|serve|wire} [flags]   (run with -h for flags)")
 	os.Exit(2)
 }
 

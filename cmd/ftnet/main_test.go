@@ -42,38 +42,24 @@ func TestChurnFlagValidation(t *testing.T) {
 	}
 }
 
-// TestLoadgenFlagValidation pins the load-harness boundary checks:
-// negative fleet sizes, non-finite or non-positive rates and windows,
-// and degenerate ring sizes are rejected with an error naming the flag
-// before any server is started. (main exits nonzero on any returned
-// error.)
-func TestLoadgenFlagValidation(t *testing.T) {
+// TestSubcommandsRun runs each one-shot subcommand once on a tiny host:
+// each must build its host, do its work and return no error.
+func TestSubcommandsRun(t *testing.T) {
 	for _, tc := range []struct {
+		name string
+		run  func([]string) error
 		args []string
-		want string
 	}{
-		{[]string{"-json-clients", "-1"}, "-json-clients"},
-		{[]string{"-binfull-clients", "-3"}, "-binfull-clients"},
-		{[]string{"-delta-clients", "-1"}, "-delta-clients"},
-		{[]string{"-watch-clients", "-2"}, "-watch-clients"},
-		{[]string{"-churn-rate", "NaN"}, "-churn-rate"},
-		{[]string{"-churn-rate", "+Inf"}, "-churn-rate"},
-		{[]string{"-churn-rate", "0"}, "-churn-rate"},
-		{[]string{"-churn-rate", "-5"}, "-churn-rate"},
-		{[]string{"-churn-nodes", "0"}, "-churn-nodes"},
-		{[]string{"-duration", "0s"}, "-duration"},
-		{[]string{"-duration", "-2s"}, "-duration"},
-		{[]string{"-poll-interval", "0s"}, "-poll-interval"},
-		{[]string{"-delta-ring", "0"}, "-delta-ring"},
-		{[]string{"-delta-ring", "-4"}, "-delta-ring"},
+		{"random", runRandom, []string{"-side", "60"}},
+		{"clique", runClique, []string{"-side", "20", "-p", "0.1"}},
+		{"worstcase", runWorstcase, []string{"-side", "30", "-k", "5"}},
+		{"health", runHealth, []string{"-side", "60"}},
+		{"simulate", runSimulate, []string{"-side", "60", "-faults", "3"}},
+		{"churn", runChurn, []string{"-side", "60", "-trials", "2", "-horizon", "1"}},
+		{"edges", runEdges, []string{"-count", "2"}},
 	} {
-		err := runLoadgen(tc.args)
-		if err == nil {
-			t.Errorf("loadgen %v accepted", tc.args)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("loadgen %v: error %q does not name %s", tc.args, err, tc.want)
+		if err := tc.run(tc.args); err != nil {
+			t.Errorf("%s %v: %v", tc.name, tc.args, err)
 		}
 	}
 }

@@ -176,7 +176,7 @@ func checkAppend(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, para
 // storage provably belongs to a parameter or the receiver: every
 // assignment's right-hand side must derive — through re-slicing, field
 // selection, indexing, or a method call on caller-owned storage (a
-// scratch accessor like sc.queueBuf(n)) — from a parameter, the
+// scratch accessor like sc.seenBuf(n)) — from a parameter, the
 // receiver, or an already-blessed local. A self-referencing update
 // (moved = append(moved, x)) neither blesses nor taints.
 func blessedLocals(pass *analysis.Pass, fd *ast.FuncDecl, params map[types.Object]bool) map[types.Object]bool {

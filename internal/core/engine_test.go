@@ -69,7 +69,8 @@ func TestEngineLoneFaultStaysInFootprint(t *testing.T) {
 		t.Fatalf("got %d boxes, want 1", len(boxes))
 	}
 	var footprint []int
-	starts, counts, coord := sc.footprintBufs(g.P.D - 1)
+	d1 := g.P.D - 1
+	starts, counts, coord := make([]int, d1), make([]int, d1), make([]int, d1)
 	g.footprintColumns(boxes[0], starts, counts, coord, func(z int) { footprint = append(footprint, z) })
 	if slices.Contains(footprint, 0) {
 		t.Fatal("the fault's footprint reaches the anchor column; pick an interior fault")

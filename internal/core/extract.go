@@ -64,7 +64,8 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 	}
 
 	// BFS over the column torus.
-	queue := append(sc.queueBuf(numCols), 0)
+	sc.queue = grow(sc.queue, numCols)
+	queue := append(sc.queue[:0], 0)
 	for head := 0; head < len(queue); head++ {
 		z := queue[head]
 		for _, zn32 := range g.columnNeighbors(z) {
@@ -85,7 +86,8 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 	}
 
 	if opts.CheckConsistency {
-		dst := sc.dstBuf(n)
+		sc.consDst = grow(sc.consDst, n)
+		dst := sc.consDst
 		for z := 0; z < numCols; z++ {
 			nbrs := g.columnNeighbors(z)
 			for dim := range g.ColShape {

@@ -139,9 +139,9 @@ func (g *Graph) buildTemplate() *template {
 // footprintColumns enumerates the columns of b's footprint ±1 tile —
 // exactly the columns whose band values the box can influence — calling
 // fn for each. starts/counts/coord are caller-owned (d-1)-sized work
-// buffers (Scratch.footprintBufs). The delta engine's re-interpolation
-// and box-copy passes drive this one enumerator, so the two agree on the
-// footprint to the column.
+// buffers (the Scratch's fpStarts, fpCounts and fpCoord). The delta
+// engine's re-interpolation and box-copy passes drive this one
+// enumerator, so the two agree on the footprint to the column.
 //
 //ftnet:hotpath
 func (g *Graph) footprintColumns(b *faultBox, starts, counts, coord []int, fn func(z int)) {

@@ -163,9 +163,10 @@ func (g *Graph) faultyTiles(faults *fault.Set, sc *Scratch) []int {
 	t := g.P.Tile()
 	colTileShape := g.tileShape[1:]
 	colTiles := colTileShape.Size()
-	index := sc.tileSeenBuf(g.tileShape.Size())
+	sc.tileSeen = grow(sc.tileSeen, g.tileShape.Size())
+	sc.coordA, sc.coordB = grow(sc.coordA, g.P.D-1), grow(sc.coordB, g.P.D-1)
+	index, coord, tcoord := sc.tileSeen, sc.coordA, sc.coordB
 	out := sc.tileList[:0]
-	coord, tcoord := sc.coordBufs(g.P.D - 1)
 	faults.ForEach(func(idx int) {
 		i, z := g.NodeOf(idx)
 		g.ColShape.Coord(z, coord)
@@ -206,7 +207,8 @@ func initialBoxes(tiles []int, tileShape grid.Shape, deltas [][]int, sc *Scratch
 	d := len(tileShape)
 	index := sc.tileSeen
 	parent, comp, members, ends, coords, cover := sc.groupBufs(k, d)
-	ncoord, _ := sc.coordBufs(d)
+	sc.coordA = grow(sc.coordA, d)
+	ncoord := sc.coordA
 	for i, t := range tiles {
 		parent[i] = int32(i)
 		tileShape.Coord(t, coords[i*d:(i+1)*d])
@@ -383,7 +385,8 @@ func (g *Graph) assignFaultRows(boxes []*faultBox, faults *fault.Set, tileShape 
 		b.faultRows = b.faultRows[:0]
 		b.segs = nil
 	}
-	coord, _ := sc.coordBufs(g.P.D - 1)
+	sc.coordA = grow(sc.coordA, g.P.D-1)
+	coord := sc.coordA
 	var outErr error
 	faults.ForEach(func(idx int) {
 		if outErr != nil {
@@ -564,7 +567,8 @@ func (g *Graph) buildPinned(boxes []*faultBox, sc *Scratch, cornerShape grid.Sha
 	numCorners := cornerShape.Size()
 
 	pinned, keys := sc.pinnedBuf(numSlabs * numCorners)
-	cornerCoord := sc.cornerCoordBuf(d1)
+	sc.cornerCoord = grow(sc.cornerCoord, d1)
+	cornerCoord := sc.cornerCoord
 	for _, b := range boxes {
 		for rs := 0; rs < b.ext[0]; rs++ {
 			slab := grid.Add(b.lo[0], rs, numSlabs)

@@ -87,7 +87,8 @@ func TestInitialBoxesWrap(t *testing.T) {
 func tileBoxes(tiles []int, shape grid.Shape) []*faultBox {
 	sc := NewScratch(1)
 	tiles = slices.Clone(tiles)
-	numberTiles(sc.tileSeenBuf(shape.Size()), tiles)
+	sc.tileSeen = make([]int32, shape.Size())
+	numberTiles(sc.tileSeen, tiles)
 	return initialBoxes(tiles, shape, genChebyshevDeltas(len(shape)), sc)
 }
 
@@ -172,7 +173,8 @@ func TestInitialBoxesMatchesReference(t *testing.T) {
 	check := func(name string, tiles []int, shape grid.Shape) {
 		t.Helper()
 		tiles = slices.Clone(tiles)
-		index := sc.tileSeenBuf(shape.Size())
+		sc.tileSeen = grow(sc.tileSeen, shape.Size())
+		index := sc.tileSeen
 		numberTiles(index, tiles)
 		deltas := genChebyshevDeltas(len(shape))
 		got := initialBoxes(tiles, shape, deltas, sc)

@@ -97,41 +97,30 @@ func (sc *Scratch) Faults(n int) *fault.Set {
 	return sc.faults
 }
 
+// grow returns buf resliced to length n, or a new zeroed slice of
+// length n when buf's capacity is short. A reused buffer keeps what the
+// last call left in it.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // rowBuffers returns numCols nil'd row-map headers plus their flat
 // backing array of numCols*n int32s for the dense extraction.
 func (sc *Scratch) rowBuffers(numCols, n int) ([][]int32, []int32) {
-	if cap(sc.rowmap) < numCols {
-		sc.rowmap = make([][]int32, numCols)
-	}
-	sc.rowmap = sc.rowmap[:numCols]
-	for i := range sc.rowmap {
-		sc.rowmap[i] = nil
-	}
-	if cap(sc.rowflat) < numCols*n {
-		sc.rowflat = make([]int32, numCols*n)
-	}
-	return sc.rowmap, sc.rowflat[:numCols*n]
-}
-
-// queueBuf returns an empty int slice with at least the given capacity.
-func (sc *Scratch) queueBuf(capacity int) []int {
-	if cap(sc.queue) < capacity {
-		sc.queue = make([]int, 0, capacity)
-	}
-	return sc.queue[:0]
+	sc.rowmap = grow(sc.rowmap, numCols)
+	clear(sc.rowmap)
+	sc.rowflat = grow(sc.rowflat, numCols*n)
+	return sc.rowmap, sc.rowflat
 }
 
 // seenBuf returns a false-filled bool slice of length n for the dense
 // verifier's injectivity check.
 func (sc *Scratch) seenBuf(n int) []bool {
-	if cap(sc.seen) < n {
-		sc.seen = make([]bool, n)
-		return sc.seen
-	}
-	sc.seen = sc.seen[:n]
-	for i := range sc.seen {
-		sc.seen[i] = false
-	}
+	sc.seen = grow(sc.seen, n)
+	clear(sc.seen)
 	return sc.seen
 }
 
@@ -144,52 +133,22 @@ func (sc *Scratch) embedding(guest *torus.Graph) *embed.Embedding {
 	return sc.emb
 }
 
-// tileSeenBuf returns the all-zero faulty-tile table over the tile grid.
-// Whoever sets entries zeroes them again (initialBoxes does), so the
-// all-zero invariant costs O(faulty tiles), not O(tiles).
-func (sc *Scratch) tileSeenBuf(numTiles int) []int32 {
-	if cap(sc.tileSeen) < numTiles {
-		sc.tileSeen = make([]int32, numTiles)
-	}
-	return sc.tileSeen[:numTiles]
-}
-
 // groupBufs returns initialBoxes' work slices for k faulty tiles of a
 // d-dimensional tile grid: union-find parents, component numbers, the
 // tiles bucketed by component and the bucket ends (k entries each), the
 // tiles' coordinates (k·d) and one dimension's cover input (k).
 func (sc *Scratch) groupBufs(k, d int) (parent, comp, members, ends []int32, coords, cover []int) {
-	if cap(sc.tileGroup) < 4*k {
-		sc.tileGroup = make([]int32, 4*k)
-	}
-	if cap(sc.tileCoords) < k*(d+1) {
-		sc.tileCoords = make([]int, k*(d+1))
-	}
-	g, c := sc.tileGroup[:4*k], sc.tileCoords[:k*(d+1)]
+	sc.tileGroup, sc.tileCoords = grow(sc.tileGroup, 4*k), grow(sc.tileCoords, k*(d+1))
+	g, c := sc.tileGroup, sc.tileCoords
 	return g[:k], g[k : 2*k], g[2*k : 3*k], g[3*k:], c[:k*d], c[k*d:]
-}
-
-// coordBufs returns two n-sized coordinate work slices.
-func (sc *Scratch) coordBufs(n int) (a, b []int) {
-	if cap(sc.coordA) < n {
-		sc.coordA = make([]int, n)
-		sc.coordB = make([]int, n)
-	}
-	return sc.coordA[:n], sc.coordB[:n]
 }
 
 // usedBuf returns a false-filled bool slice of length n for the
 // pigeonhole residue-class scan.
 func (sc *Scratch) usedBuf(n int) []bool {
-	if cap(sc.usedRes) < n {
-		sc.usedRes = make([]bool, n)
-		return sc.usedRes[:n]
-	}
-	buf := sc.usedRes[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
+	sc.usedRes = grow(sc.usedRes, n)
+	clear(sc.usedRes)
+	return sc.usedRes
 }
 
 // pinnedBuf returns the all-nil pinned-corner table of the given size
@@ -244,32 +203,4 @@ func (sc *Scratch) colEvalBuf(g *Graph, defaults []float64, pinned [][]float64, 
 	ev.cornerShape = cornerShape
 	ev.colTiles = g.P.ColTiles()
 	return ev
-}
-
-// cornerCoordBuf returns the (d-1)-sized work slice for buildPinned's
-// corner odometer.
-func (sc *Scratch) cornerCoordBuf(d1 int) []int {
-	if cap(sc.cornerCoord) < d1 {
-		sc.cornerCoord = make([]int, d1)
-	}
-	return sc.cornerCoord[:d1]
-}
-
-// footprintBufs returns three d1-sized work slices for the footprint
-// odometer.
-func (sc *Scratch) footprintBufs(d1 int) (starts, counts, coord []int) {
-	if cap(sc.fpStarts) < d1 {
-		sc.fpStarts = make([]int, d1)
-		sc.fpCounts = make([]int, d1)
-		sc.fpCoord = make([]int, d1)
-	}
-	return sc.fpStarts[:d1], sc.fpCounts[:d1], sc.fpCoord[:d1]
-}
-
-// dstBuf returns a length-n int32 buffer for the consistency check.
-func (sc *Scratch) dstBuf(n int) []int32 {
-	if cap(sc.consDst) < n {
-		sc.consDst = make([]int32, n)
-	}
-	return sc.consDst[:n]
 }

@@ -333,7 +333,8 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 	// Classify: copyable[i] means boxes[i] has an identical predecessor.
 	// matched[j] marks predecessors that found a successor; the rest were
 	// removed and count as perturbing.
-	copyable, matched := s.boxClassifyBufs(len(boxes), len(s.prevBoxes))
+	s.copyable, s.matchedA = grow(s.copyable, len(boxes)), grow(s.matchedA, len(s.prevBoxes))
+	copyable, matched := s.copyable, s.matchedA
 	for j := range matched {
 		matched[j] = false
 	}
@@ -382,7 +383,8 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 		return nil, err
 	}
 	ev := sc.colEvalBuf(g, tpl.defaults, pinned, cornerShape)
-	starts, counts, coord := sc.footprintBufs(d1)
+	sc.fpStarts, sc.fpCounts, sc.fpCoord = grow(sc.fpStarts, d1), grow(sc.fpCounts, d1), grow(sc.fpCoord, d1)
+	starts, counts, coord := sc.fpStarts, sc.fpCounts, sc.fpCoord
 	cur := s.cur
 	for i, b := range boxes {
 		if copyable[i] {
@@ -406,19 +408,6 @@ func (s *Session) interpolateDelta(boxes []*faultBox, tpl *template, dst *bands.
 			})
 	}
 	return dst, nil
-}
-
-// boxClassifyBufs sizes the session's box-classification scratch (grown
-// geometrically off the hot path) and hands out the sliced views.
-func (s *Session) boxClassifyBufs(nBoxes, nPrev int) (copyable, matched []bool) {
-	if cap(s.copyable) < nBoxes {
-		s.copyable = make([]bool, nBoxes)
-		s.matchedB = make([]bool, nBoxes)
-	}
-	if cap(s.matchedA) < nPrev {
-		s.matchedA = make([]bool, nPrev)
-	}
-	return s.copyable[:nBoxes], s.matchedA[:nPrev]
 }
 
 // sameBox reports whether two fault boxes are identical in tile geometry

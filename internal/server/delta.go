@@ -119,29 +119,37 @@ func trimDeltaChain(head *deltaRec, ring int) {
 	rec.prev.Store(nil)
 }
 
+// deltaChain returns the delta records of (since, head], newest first,
+// and whether the chain reaches since+1: the ring may have evicted a
+// record, and a full record links no predecessor (linkDelta). The
+// caller guarantees since < head generation.
+func deltaChain(snap *Snapshot, since int64) ([]*deltaRec, bool) {
+	var recs []*deltaRec
+	for rec := snap.delta; rec != nil; rec = rec.prev.Load() {
+		recs = append(recs, rec)
+		if rec.gen == since+1 {
+			return recs, true
+		}
+	}
+	return recs, false
+}
+
 // deltaSince merges the per-commit column diffs covering (since, head]
 // into one sorted column list. It fails with errDeltaEvicted when the
-// chain no longer reaches since: the ring evicted the record, or a full
-// rewrite stands in between. The caller guarantees 0 <= since <=
-// head generation.
+// chain does not reach since+1, or when the record there is full and so
+// has no column list. The caller guarantees 0 <= since <= head
+// generation.
 func deltaSince(snap *Snapshot, since int64) ([]int32, error) {
 	if since == snap.Generation {
 		return nil, nil
 	}
+	recs, ok := deltaChain(snap, since)
+	if !ok || recs[len(recs)-1].full {
+		return nil, errDeltaEvicted
+	}
 	var out []int32
-	for rec := snap.delta; rec.gen > since; {
-		if rec.full {
-			return nil, errDeltaEvicted
-		}
+	for _, rec := range recs {
 		out = append(out, rec.cols...)
-		if rec.gen == since+1 {
-			break
-		}
-		next := rec.prev.Load()
-		if next == nil {
-			return nil, errDeltaEvicted
-		}
-		rec = next
 	}
 	slices.Sort(out)
 	return slices.Compact(out), nil

@@ -59,7 +59,13 @@ func (d *diskSnapshot) checksum() uint64 {
 }
 
 // check refuses to restore a snapshot of another version, with a
-// generation the wire codec cannot carry, or onto an incompatible host.
+// generation the wire codec cannot carry, onto an incompatible host, or
+// with a fault or edge list in another form than the daemon writes:
+// node lists strictly increasing, edge lists of canonical (0 <= u < v)
+// pairs in strictly increasing lexicographic order. Restore diffs the
+// session lists against the committed ones by a sorted merge
+// (sortedDiff), which would silently drop recorded faults from a list
+// out of order.
 func (d *diskSnapshot) check(cfg TopologyConfig, host *ftnet.RandomFaultTorus) error {
 	if d.Version != snapshotVersion {
 		return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot version %d, want %d", cfg.ID, d.Version, snapshotVersion)
@@ -73,6 +79,29 @@ func (d *diskSnapshot) check(cfg TopologyConfig, host *ftnet.RandomFaultTorus) e
 	if d.D != host.Dims() || d.Side != host.Side() || d.HostNodes != host.HostNodes() {
 		return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot host (d=%d side=%d nodes=%d) does not match configured host (d=%d side=%d nodes=%d)",
 			cfg.ID, d.D, d.Side, d.HostNodes, host.Dims(), host.Side(), host.HostNodes())
+	}
+	for _, l := range []struct {
+		name  string
+		nodes []int
+	}{{"faults", d.Faults}, {"session_faults", d.SessionFaults}} {
+		for i := 1; i < len(l.nodes); i++ {
+			if l.nodes[i-1] >= l.nodes[i] {
+				return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot %s not strictly increasing at index %d", cfg.ID, l.name, i)
+			}
+		}
+	}
+	for _, l := range []struct {
+		name  string
+		edges [][2]int
+	}{{"edges", d.Edges}, {"session_edges", d.SessionEdges}} {
+		for i, e := range l.edges {
+			if e[0] < 0 || e[0] >= e[1] {
+				return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot %s[%d] = %v is not a canonical (0 <= u < v) pair", cfg.ID, l.name, i, e)
+			}
+			if i > 0 && slices.Compare(l.edges[i-1][:], e[:]) >= 0 {
+				return fterr.New(fterr.Corrupt, "server.snapshot", "topology %s: snapshot %s not strictly increasing at index %d", cfg.ID, l.name, i)
+			}
+		}
 	}
 	return nil
 }

@@ -264,3 +264,54 @@ func TestSnapshotRestoreRejectsOutOfRangeGeneration(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRestoreRejectsNonCanonicalLists: restore diffs each
+// session list against its committed list by a sorted merge, so a list
+// out of order, with a duplicate or with a reversed edge would silently
+// clear recorded faults. Every list must be as the daemon writes it, or
+// the file is corrupt. Each row edits one list of the v1 file.
+func TestSnapshotRestoreRejectsNonCanonicalLists(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1_pending.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(d *diskSnapshot)
+	}{
+		{"faults out of order", func(d *diskSnapshot) { d.Faults = []int{5000, 17} }},
+		{"faults duplicate", func(d *diskSnapshot) { d.Faults = []int{17, 17, 5000} }},
+		{"session_faults out of order", func(d *diskSnapshot) { d.SessionFaults = []int{9999, 5000} }},
+		{"session_faults duplicate", func(d *diskSnapshot) { d.SessionFaults = []int{5000, 5000, 9999} }},
+		{"edges out of order", func(d *diskSnapshot) { d.Edges = [][2]int{{7932, 7933}, {13, 14}} }},
+		{"edges duplicate", func(d *diskSnapshot) { d.Edges = [][2]int{{13, 14}, {13, 14}, {7932, 7933}} }},
+		{"edges reversed pair", func(d *diskSnapshot) { d.Edges = [][2]int{{14, 13}, {7932, 7933}} }},
+		{"session_edges out of order", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{15851, 15852}, {7932, 7933}} }},
+		{"session_edges duplicate", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{7932, 7933}, {7932, 7933}, {15851, 15852}} }},
+		{"session_edges reversed pair", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{7933, 7932}, {15851, 15852}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d diskSnapshot
+			if err := json.Unmarshal(golden, &d); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&d)
+			data, err := json.Marshal(&d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(snapshotPath(dir, "main"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(testConfig(t, func(c *Config) { c.SnapshotDir = dir }))
+			if err == nil {
+				srv.Close()
+				t.Fatalf("restore succeeded, want a %s error", fterr.Corrupt)
+			}
+			if !fterr.Is(err, fterr.Corrupt) {
+				t.Fatalf("restore: %v, want a %s error", err, fterr.Corrupt)
+			}
+		})
+	}
+}

@@ -123,26 +123,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// when the ring cannot bridge the gap. Returns the new last
 	// generation and whether the stream is still writable.
 	catchUp := func(snap *Snapshot, last int64) (int64, bool) {
-		// The chain never holds more than DeltaRing records, however far
-		// behind the subscriber is.
-		recs := make([]*deltaRec, 0, min(snap.Generation-last, int64(t.deltaRing)))
-		gapped := false
-		for rec := snap.delta; ; {
-			if rec == nil {
-				gapped = true
-				break
-			}
-			recs = append(recs, rec)
-			if rec.gen == last+1 {
-				break
-			}
-			if rec.full {
-				gapped = true
-				break
-			}
-			rec = rec.prev.Load()
-		}
-		if gapped {
+		recs, ok := deltaChain(snap, last)
+		if !ok {
 			return snap.Generation, headEvent("resync", snap)
 		}
 		for i := len(recs) - 1; i >= 0; i-- {

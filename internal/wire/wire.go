@@ -1,7 +1,7 @@
 // Package wire is ftnetd's compact binary embedding encoding: the
 // fleet-scale alternative to the JSON wire, shared by the daemon
-// (internal/server), its clients (examples, cmd/ftnet loadgen) and the
-// offline decoder (cmd/ftnet wire).
+// (internal/server), its SDK (ftnet/client) and the offline decoder
+// (cmd/ftnet wire).
 //
 // Two payload kinds share a common header (magic, kind, topology id):
 //
