@@ -427,9 +427,10 @@ func BenchmarkLifetime(b *testing.B) {
 }
 
 // benchBurstyProc is the burst-heavy mixed churn process of the PR 9
-// batched-evaluation acceptance: adversarial clustered node bursts plus
-// clustered link-flap bursts dominate the event stream, with unit-rate
-// repair churning each burst back out. Per-event evaluation pays a full
+// batched-evaluation acceptance: adversarial node bursts (uniform, as
+// no BurstPattern is set) plus clustered link-flap bursts dominate the
+// event stream, with unit-rate repair churning each burst back out.
+// Per-event evaluation pays a full
 // session step for every one of those events; the batched evaluator
 // pays the placement probe per event and one full pipeline step per
 // window.

@@ -24,8 +24,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "listen address")
 	snapshotDir := fs.String("snapshot-dir", "", "directory for session snapshots (empty = snapshots disabled)")
-	maxBatchCols := fs.Int("max-batch-cols", server.DefaultMaxBatchCols,
-		"evaluate pending async mutations once they touch this many distinct host columns")
 	flushInterval := fs.Duration("flush-interval", server.DefaultFlushInterval,
 		"periodic flush of pending async mutations (0 = disabled)")
 	deltaRing := fs.Int("delta-ring", server.DefaultDeltaRing,
@@ -57,7 +55,6 @@ func runServe(args []string) error {
 	cfg := server.Config{
 		Topologies:    topos.specs,
 		SnapshotDir:   *snapshotDir,
-		MaxBatchCols:  *maxBatchCols,
 		FlushInterval: *flushInterval, // 0 disables, same as the Config encoding
 		DeltaRing:     *deltaRing,
 		Chaos:         chaos,

@@ -1,7 +1,7 @@
 // Package churn generates dynamic fault workloads — stochastic fault
-// arrivals, repairs, and adversarial clustered bursts over continuous
-// time — and drives the Theorem 2 pipeline through them via the
-// core.Session delta-evaluation engine.
+// arrivals, repairs, and adversarial bursts over continuous time — and
+// drives the Theorem 2 pipeline through them via the core.Session
+// delta-evaluation engine.
 //
 // The paper's model is static: inject a fault set once, build the
 // embedding once. Real deployments see faults arrive *and get repaired*
@@ -9,10 +9,11 @@
 // and Byzantine-churn lines of work in PAPERS.md), so this package models
 // the host as a continuous-time Markov process: every healthy node fails
 // at rate Arrival, every faulty node is repaired at rate Repair, and —
-// optionally — adversarial bursts drop a spatially clustered batch of
-// faults at rate BurstRate (reusing the Theorem 3 adversary patterns of
-// internal/fault). Events are drawn by Gillespie's direct method, so
-// inter-event times and event kinds are exact for the rate triple.
+// optionally — adversarial bursts drop a batch of faults at rate
+// BurstRate, placed by one of the Theorem 3 adversary patterns of
+// internal/fault (uniform unless BurstPattern names another). Events
+// are drawn by Gillespie's direct method, so inter-event times and
+// event kinds are exact for the rate triple.
 //
 // Each churn event mutates the fault set by a recorded delta, which is
 // exactly what core.Session consumes: one event costs one incremental
@@ -51,8 +52,8 @@ type Process struct {
 	// (the pure-aging regime of the mean-faults-to-death experiments).
 	Repair float64
 	// BurstRate, if positive, adds adversarial burst events at this
-	// aggregate rate: each burst places BurstSize clustered faults with
-	// the BurstPattern adversary from internal/fault.
+	// aggregate rate: each burst places BurstSize faults with the
+	// BurstPattern adversary from internal/fault.
 	BurstRate float64
 	// BurstSize is the number of faults per burst (default 8).
 	BurstSize int
@@ -70,7 +71,7 @@ type Process struct {
 	// events at this aggregate rate: each burst fails a ball of
 	// EdgeBurstSize edges around a random anchor node — the
 	// neighbor-connectivity attack (all charges land on one
-	// neighborhood), the edge analogue of the clustered node burst.
+	// neighborhood), the edge analogue of a fault.Cluster node burst.
 	EdgeBurstRate float64
 	// EdgeBurstSize is the number of edges per burst (default 8).
 	EdgeBurstSize int
@@ -188,8 +189,7 @@ func (gen *Generator) Reset() { gen.now = 0 }
 // NextMixed advances to the next churn event of the mixed node+edge
 // process, mutates the charger by its delta, and returns it. Six event
 // kinds compete by rate (Gillespie's direct method): node arrival, node
-// repair, clustered node burst, edge flap, edge repair, clustered edge
-// burst. Any family of rates may be zero; a node-only process draws
+// repair, node burst, edge flap, edge repair, clustered edge burst. Any family of rates may be zero; a node-only process draws
 // only node events, and its effective deltas equal its node deltas
 // (TestNextMixedGolden pins both streams). An error means the process
 // is stuck: every competing rate is zero in this state.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -373,23 +374,86 @@ func TestEngineDeltaCandBounded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if len(ses.deltaCand) > g.NumCols || len(ses.staleCols) > g.NumCols {
+			if len(ses.deltaCand.cols) > g.NumCols || len(ses.stale.cols) > g.NumCols {
 				t.Fatalf("step %d: %d delta candidates and %d stale columns on a %d-column host",
-					step, len(ses.deltaCand), len(ses.staleCols), g.NumCols)
+					step, len(ses.deltaCand.cols), len(ses.stale.cols), g.NumCols)
 			}
 		}
 		if step == 0 {
 			drained.DrainDelta()
 		}
 	}
-	if len(undrained.deltaCand) != 0 {
-		t.Errorf("a session whose delta is full listed %d candidates", len(undrained.deltaCand))
+	if len(undrained.deltaCand.cols) != 0 {
+		t.Errorf("a session whose delta is full listed %d candidates", len(undrained.deltaCand.cols))
 	}
-	if len(drained.deltaCand) == 0 {
+	if len(drained.deltaCand.cols) == 0 {
 		t.Error("the drained session listed no candidate after its drain")
 	}
 	evalSessionBoth(t, g, undrained, faults, "undrained, last step")
 	evalSessionBoth(t, g, drained, faults, "drained once, last step")
+}
+
+// TestEngineChurnColsBounded: the churn list holds each column at most
+// once, so it stays within one entry per column however many steps run
+// without a successful incremental commit to empty it. One session is
+// held beyond tolerance — five faults in rows 40-44 of column 10 cover
+// every residue class mod W+1 — so each of its steps is rejected; a
+// Dense session never commits incrementally. Each step toggles one
+// fault. Short mode runs a tenth of the rejected steps.
+func TestEngineChurnColsBounded(t *testing.T) {
+	g := mustGraph(t, testParams2DTight())
+	u := []int{g.NodeIndex(g.P.M()/2, g.P.N()/2)}
+	toggle := func(ses *Session, faults *fault.Set) {
+		if faults.Has(u[0]) {
+			faults.Remove(u[0])
+			ses.NoteCleared(u)
+		} else {
+			faults.Add(u[0])
+			ses.NoteAdded(u)
+		}
+	}
+
+	faults := fault.NewSet(g.NumNodes())
+	rejected := g.NewSession(NewScratch(1), ExtractOptions{})
+	if err := rejected.Check(faults); err != nil {
+		t.Fatal(err)
+	}
+	var killer []int
+	for r := 40; r < 45; r++ {
+		killer = append(killer, g.NodeIndex(r, 10))
+		faults.Add(killer[len(killer)-1])
+	}
+	rejected.NoteAdded(killer)
+	steps := 2000
+	if testing.Short() {
+		steps = 200
+	}
+	for step := 0; step < steps; step++ {
+		toggle(rejected, faults)
+		var ue *UnhealthyError
+		if err := rejected.Check(faults); !errors.As(err, &ue) {
+			t.Fatalf("rejected step %d: err = %v, want an UnhealthyError", step, err)
+		}
+		if n := len(rejected.churn.cols); n > g.NumCols {
+			t.Fatalf("rejected step %d: %d churn entries on a %d-column host", step, n, g.NumCols)
+		}
+	}
+	faults.RemoveAll(killer)
+	rejected.NoteCleared(killer)
+	evalSessionBoth(t, g, rejected, faults, "healed after rejected steps")
+
+	faults = fault.NewSet(g.NumNodes())
+	dense := g.NewSession(NewScratch(1), ExtractOptions{Dense: true})
+	for step := 0; step < 300; step++ {
+		toggle(dense, faults)
+		if err := dense.Check(faults); err != nil {
+			t.Fatalf("dense step %d: %v", step, err)
+		}
+		if n := len(dense.churn.cols); n > g.NumCols {
+			t.Fatalf("dense step %d: %d churn entries on a %d-column host", step, n, g.NumCols)
+		}
+	}
+	evalSessionBoth(t, g, dense, faults, "dense, last step")
 }
 
 // TestEngineCheckHoldsNoMap: a session driven only by Check and Reset
@@ -416,15 +480,15 @@ func TestEngineCheckHoldsNoMap(t *testing.T) {
 	if ses.emb != nil {
 		t.Fatal("a session driven only by Check and Reset allocated its map")
 	}
-	if len(ses.staleCols) == 0 {
+	if len(ses.stale.cols) == 0 {
 		t.Fatal("the checks left no stale column for the first map sync")
 	}
 	if _, full := ses.DrainDelta(); !full {
 		t.Fatal("the checks since the Reset must drain a full delta")
 	}
 	evalSessionBoth(t, g, ses, faults, "first Eval after checks")
-	if len(ses.staleCols) != 0 {
-		t.Fatalf("the map sync left %d stale columns", len(ses.staleCols))
+	if len(ses.stale.cols) != 0 {
+		t.Fatalf("the map sync left %d stale columns", len(ses.stale.cols))
 	}
 	if _, full := ses.DrainDelta(); !full {
 		t.Fatal("the map sync that allocated the map must drain a full delta")

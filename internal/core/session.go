@@ -122,23 +122,19 @@ type Session struct {
 
 	// The embedding map the row vectors give, a view that only Eval's
 	// syncMap brings up to date: nil until the first Eval, and afterwards
-	// equal to the map of the vectors outside the columns flagged stale,
-	// which staleCols lists once each.
-	emb       *embed.Embedding
-	stale     []bool
-	staleCols []int32
+	// equal to the map of the vectors outside the stale columns.
+	emb   *embed.Embedding
+	stale colSet
 
-	churnCols []int32 // columns whose fault membership changed since the last successful step
+	churn colSet // columns whose fault membership changed since the last successful step
 
 	// Wire-delta accounting (DrainDelta): every map column that may have
 	// changed since the previous drain is covered either by deltaCand or
-	// by deltaFull. deltaCand lists a column at most once (inDelta flags
-	// it) and takes nothing while deltaFull is set, so it never exceeds
-	// NumCols entries, drained or not. Failed steps accumulate too — a
-	// step can re-derive vectors before verification rejects the state,
-	// and those columns may not be re-derived by the next successful Eval.
-	deltaCand []int32
-	inDelta   []bool
+	// by deltaFull. deltaCand takes nothing while deltaFull is set.
+	// Failed steps accumulate too — a step can re-derive vectors before
+	// verification rejects the state, and those columns may not be
+	// re-derived by the next successful Eval.
+	deltaCand colSet
 	deltaFull bool
 
 	// Box-level placement diff: the previous successful step's box list
@@ -177,7 +173,7 @@ func (g *Graph) NewSession(sc *Scratch, opts ExtractOptions) *Session {
 // of against the previous trial's state.
 func (s *Session) Reset() {
 	s.warm = false
-	s.churnCols = s.churnCols[:0]
+	s.churn.reset()
 }
 
 // NoteAdded records newly added fault indices (as returned by
@@ -186,7 +182,7 @@ func (s *Session) Reset() {
 // already-masked row.
 func (s *Session) NoteAdded(added []int) {
 	for _, idx := range added {
-		s.churnCols = append(s.churnCols, int32(idx%s.g.NumCols))
+		s.churn.add(int32(idx%s.g.NumCols), s.g.NumCols)
 	}
 }
 
@@ -200,7 +196,7 @@ func (s *Session) NoteAdded(added []int) {
 // cleared fault, and only when the column deviates.
 func (s *Session) NoteCleared(cleared []int) {
 	for _, idx := range cleared {
-		s.churnCols = append(s.churnCols, int32(idx%s.g.NumCols))
+		s.churn.add(int32(idx%s.g.NumCols), s.g.NumCols)
 	}
 }
 
@@ -241,7 +237,9 @@ func (s *Session) Check(faults *fault.Set) error {
 func (s *Session) step(faults *fault.Set, withMap bool) (*Result, error) {
 	g, sc := s.g, s.sc
 	if s.opts.Dense {
+		// The dense pipeline reads no session state, churn included.
 		s.deltaFull = true
+		s.churn.reset()
 		return g.containDense(faults, s.opts)
 	}
 	tpl, err := g.template()
@@ -249,6 +247,7 @@ func (s *Session) step(faults *fault.Set, withMap bool) (*Result, error) {
 		// No usable template (e.g. ablated edge classes): every step runs
 		// the dense pipeline, which reports such failures on its own terms.
 		s.deltaFull = true
+		s.churn.reset()
 		return g.containDense(faults, s.opts)
 	}
 	if !s.warm {
@@ -478,8 +477,6 @@ func (s *Session) begin(tpl *template) {
 		s.faultCol = make([]int32, numCols)
 		s.cleanVec = make([]int32, n)
 		s.devCols = make([]bool, numCols)
-		s.stale = make([]bool, numCols)
-		s.inDelta = make([]bool, numCols)
 		s.rowflat = make([]int32, numCols*n)
 		s.rowmap = make([][]int32, numCols)
 		for z := range s.rowmap {
@@ -508,14 +505,40 @@ func (s *Session) begin(tpl *template) {
 //
 //ftnet:hotpath
 func (s *Session) markStale(z int32) {
-	if !s.stale[z] {
-		s.stale[z] = true
-		s.staleCols = append(s.staleCols, z)
+	s.stale.add(z, s.g.NumCols)
+	if !s.deltaFull {
+		s.deltaCand.add(z, s.g.NumCols)
 	}
-	if !s.deltaFull && !s.inDelta[z] {
-		s.inDelta[z] = true
-		s.deltaCand = append(s.deltaCand, z)
+}
+
+// colSet lists columns in insertion order, each at most once (in flags
+// the listed ones), so the list never outgrows the host's columns
+// however often a column is added.
+type colSet struct {
+	cols []int32
+	in   []bool
+}
+
+// add lists column z unless it is listed already; the first add sizes
+// the flags to numCols.
+//
+//ftnet:hotpath
+func (c *colSet) add(z int32, numCols int) {
+	if c.in == nil {
+		c.in = make([]bool, numCols) //lint:allow hotpath once per session, on the set's first add
 	}
+	if !c.in[z] {
+		c.in[z] = true
+		c.cols = append(c.cols, z)
+	}
+}
+
+// reset empties the set, keeping its storage.
+func (c *colSet) reset() {
+	for _, z := range c.cols {
+		c.in[z] = false
+	}
+	c.cols = c.cols[:0]
 }
 
 // syncMap brings the embedding map up to date with the verified row
@@ -533,12 +556,9 @@ func (s *Session) syncMap(tpl *template) error {
 		s.fillMap(tpl)
 	}
 	e := s.emb
-	slices.Sort(s.staleCols)
-	writeColumns(e.Map, g.NumCols, n, s.staleCols, s.rowmap)
-	for _, z32 := range s.staleCols {
-		s.stale[z32] = false
-	}
-	s.staleCols = s.staleCols[:0]
+	slices.Sort(s.stale.cols)
+	writeColumns(e.Map, g.NumCols, n, s.stale.cols, s.rowmap)
+	s.stale.reset()
 
 	if len(e.Map) != e.Guest.N() {
 		return fterr.New(fterr.Internal, "embed", "map has %d entries, guest has %d nodes", len(e.Map), e.Guest.N())
@@ -575,7 +595,7 @@ func (s *Session) fillMap(tpl *template) {
 func (s *Session) commit(bs *bands.Set, boxes []*faultBox) {
 	s.cur = bs
 	s.prevBoxes = boxes
-	s.churnCols = s.churnCols[:0]
+	s.churn.reset()
 }
 
 // DrainDelta reports which embedding columns may have changed since the
@@ -590,16 +610,12 @@ func (s *Session) commit(bs *bands.Set, boxes []*faultBox) {
 func (s *Session) DrainDelta() (cols []int32, full bool) {
 	full = s.deltaFull
 	s.deltaFull = false
-	cand := s.deltaCand
-	s.deltaCand = cand[:0]
-	for _, z32 := range cand {
-		s.inDelta[z32] = false
+	if !full && len(s.deltaCand.cols) > 0 {
+		cols = slices.Clone(s.deltaCand.cols)
+		slices.Sort(cols)
 	}
-	if full || len(cand) == 0 {
-		return nil, full
-	}
-	slices.Sort(cand)
-	return slices.Clone(cand), false
+	s.deltaCand.reset()
+	return cols, full
 }
 
 // extractIncremental re-derives row vectors for exactly the columns that
@@ -812,7 +828,7 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 			add(int(zn))
 		}
 	}
-	for _, z32 := range s.churnCols {
+	for _, z32 := range s.churn.cols {
 		add(int(z32))
 	}
 

@@ -248,8 +248,8 @@ func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 	if _, err := ses.Eval(faults); err != nil {
 		t.Fatal(err)
 	}
-	if len(ses.churnCols) != 0 {
-		t.Fatalf("successful Eval left %d churn columns pending", len(ses.churnCols))
+	if len(ses.churn.cols) != 0 {
+		t.Fatalf("successful Eval left %d churn columns pending", len(ses.churn.cols))
 	}
 
 	// An unmaskable pattern: a full host column.
@@ -264,17 +264,16 @@ func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 	if _, err := ses.Eval(faults); err == nil {
 		t.Fatal("full-column pattern unexpectedly tolerated")
 	}
-	if len(ses.churnCols) < len(killer) {
-		t.Fatalf("failed Eval dropped churn: %d columns pending, want >= %d", len(ses.churnCols), len(killer))
+	if !ses.churn.in[col] {
+		t.Fatalf("failed Eval dropped churn: column %d not pending (%v)", col, ses.churn.cols)
 	}
 
 	// Churn reported *during* the failed episode accumulates too.
 	extra := []int{g.NodeIndex(30, 60)}
 	faults.Add(extra[0])
 	ses.NoteAdded(extra)
-	pending := len(ses.churnCols)
-	if pending < len(killer)+1 {
-		t.Fatalf("churn recorded during failure lost: %d pending", pending)
+	if !ses.churn.in[col] || !ses.churn.in[60] {
+		t.Fatalf("churn recorded during failure lost: columns %d and 60 not both pending (%v)", col, ses.churn.cols)
 	}
 
 	// Heal and commit: the pending churn is consumed by the successful
@@ -282,8 +281,8 @@ func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 	faults.RemoveAll(killer)
 	ses.NoteCleared(killer)
 	evalSessionBoth(t, g, ses, faults, "healed after failed eval")
-	if len(ses.churnCols) != 0 {
-		t.Fatalf("successful Eval left %d churn columns pending", len(ses.churnCols))
+	if len(ses.churn.cols) != 0 {
+		t.Fatalf("successful Eval left %d churn columns pending", len(ses.churn.cols))
 	}
 }
 

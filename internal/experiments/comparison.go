@@ -168,10 +168,3 @@ func runE10(cfg Config) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

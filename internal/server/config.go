@@ -81,16 +81,11 @@ type Config struct {
 	// /v1/topologies/{id}/snapshot writes <dir>/<id>.json, and startup
 	// restores each topology whose snapshot file exists.
 	SnapshotDir string
-	// MaxBatchCols is the batching policy's footprint threshold: pending
-	// asynchronous mutations are evaluated as soon as they touch at
-	// least this many distinct host columns ("the accumulated footprint
-	// stops being small"). 0 means the default of 64.
-	MaxBatchCols int
 	// FlushInterval is the periodic flush of pending asynchronous
-	// mutations. <= 0 disables the timer: pending work then waits for a
-	// threshold crossing, an explicit reembed, or the next synchronous
-	// request. The CLI flag defaults to DefaultFlushInterval; callers
-	// constructing a Config directly must opt in explicitly.
+	// mutations. <= 0 disables the timer: pending work then waits for an
+	// explicit reembed or the next synchronous request. The CLI flag
+	// defaults to DefaultFlushInterval; callers constructing a Config
+	// directly must opt in explicitly.
 	FlushInterval time.Duration
 	// DeltaRing bounds each topology's chain of per-commit column diffs:
 	// GET .../embedding?since=g is answerable while head-g <= DeltaRing
@@ -102,11 +97,10 @@ type Config struct {
 	Chaos ChaosConfig
 }
 
-// Defaults for the batching policy and the delta ring.
+// Defaults for the flush timer and the delta ring.
 // DefaultFlushInterval is applied by the serve subcommand's flag
 // default, not by Config (whose zero value means "no flush timer").
 const (
-	DefaultMaxBatchCols  = 64
 	DefaultFlushInterval = 250 * time.Millisecond
 	DefaultDeltaRing     = 64
 )
@@ -127,21 +121,10 @@ func (c Config) Validate() error {
 		}
 		seen[t.ID] = true
 	}
-	if err := validate.Min("server: max batch columns", c.MaxBatchCols, 0); err != nil {
-		return err
-	}
 	if err := validate.Min("server: delta ring", c.DeltaRing, 0); err != nil {
 		return err
 	}
 	return c.Chaos.Validate()
-}
-
-// maxBatchCols resolves the threshold default.
-func (c Config) maxBatchCols() int {
-	if c.MaxBatchCols <= 0 {
-		return DefaultMaxBatchCols
-	}
-	return c.MaxBatchCols
 }
 
 // flushInterval clamps the flush timer: <= 0 disables.

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"ftnet"
@@ -38,37 +37,31 @@ type deltaRec struct {
 	// to cross it fail with errDeltaEvicted.
 	full bool
 	prev atomic.Pointer[deltaRec]
-	// Rendered SSE "commit" event, built on first demand. Every caught-up
-	// watch subscriber streams the same bytes for a commit; rendering per
-	// subscriber would turn each commit into a subscribers×marshal CPU
-	// burst that stalls the other serve paths.
-	eventOnce sync.Once
-	eventData []byte
 }
 
-// commitEvent returns the record's cached SSE "commit" event bytes.
+// commitEvent renders the record's SSE "commit" event.
 func (rec *deltaRec) commitEvent(topology string) []byte {
-	rec.eventOnce.Do(func() {
-		changed := len(rec.cols)
-		if rec.full {
-			changed = -1
-		}
-		rec.eventData = renderWatchEvent("commit", watchEvent{
-			Topology:    topology,
-			Generation:  rec.gen,
-			Checksum:    fmt.Sprintf("%016x", rec.checksum),
-			Faults:      rec.faults,
-			EdgeFaults:  edgesOrEmpty(rec.edges),
-			ChangedCols: changed,
-		})
+	changed := len(rec.cols)
+	if rec.full {
+		changed = -1
+	}
+	return renderWatchEvent("commit", watchEvent{
+		Topology:    topology,
+		Generation:  rec.gen,
+		Checksum:    fmt.Sprintf("%016x", rec.checksum),
+		Faults:      rec.faults,
+		EdgeFaults:  edgesOrEmpty(rec.edges),
+		ChangedCols: changed,
 	})
-	return rec.eventData
 }
 
 // linkDelta attaches snap's delta record, chaining to the previous
 // snapshot's and trimming the chain to the ring bound. Called by the
 // topology writer (or construction) before snap is published, so
-// readers never observe a snapshot without its record.
+// readers never observe a snapshot without its record. Every published
+// snapshot has a record and every commit is its predecessor's
+// generation plus one, so only the first snapshot and a full engine
+// delta start a new chain.
 func (t *topology) linkDelta(prevSnap, snap *Snapshot, d *ftnet.EmbeddingDelta) {
 	rec := &deltaRec{
 		gen:      snap.Generation,
@@ -76,8 +69,7 @@ func (t *topology) linkDelta(prevSnap, snap *Snapshot, d *ftnet.EmbeddingDelta) 
 		faults:   snap.FaultNodes,
 		edges:    snap.FaultEdges,
 	}
-	if d == nil || d.Full || prevSnap == nil || prevSnap.delta == nil ||
-		prevSnap.Generation+1 != snap.Generation {
+	if prevSnap == nil || d.Full {
 		rec.full = true
 	} else {
 		rec.cols = changedColumns(prevSnap.Emb.Map, snap.Emb.Map, d.Cols, t.numCols)
@@ -167,43 +159,6 @@ func (s *Snapshot) wireSnapshot(topology string) *wire.Snapshot {
 		Map:        s.Emb.Map,
 		Checksum:   s.Checksum,
 	}
-}
-
-// wireFull returns the snapshot's binary full encoding, rendered once
-// and cached — under fleet load every client of a generation shares one
-// encoding pass.
-func (s *Snapshot) wireFull(topology string) ([]byte, error) {
-	s.binOnce.Do(func() {
-		s.binData, s.binErr = wire.EncodeSnapshot(s.wireSnapshot(topology))
-	})
-	return s.binData, s.binErr
-}
-
-// wireDeltaEncoded returns the encoded binary delta for (since, head],
-// cached on the head snapshot: a fleet of clients chasing the head all
-// hold one of a handful of recent generations, so without the cache
-// every poll would rebuild and re-encode an identical payload —
-// profiled as the dominant serve-path cost under thousand-client load.
-// The cache dies with the snapshot and holds at most DeltaRing entries
-// (older sinces answer 410 before reaching here).
-func (t *topology) wireDeltaEncoded(snap *Snapshot, since int64, cols []int32) ([]byte, error) {
-	snap.deltaMu.Lock()
-	if b, ok := snap.deltaCache[since]; ok {
-		snap.deltaMu.Unlock()
-		return b, nil
-	}
-	snap.deltaMu.Unlock()
-	b, err := wire.EncodeDelta(t.wireDelta(snap, since, cols))
-	if err != nil {
-		return nil, err
-	}
-	snap.deltaMu.Lock()
-	if snap.deltaCache == nil {
-		snap.deltaCache = make(map[int64][]byte)
-	}
-	snap.deltaCache[since] = b
-	snap.deltaMu.Unlock()
-	return b, nil
 }
 
 // wireDelta builds the delta payload for (since, head]: the merged

@@ -258,7 +258,6 @@ func TestServeEdgeSnapshotUncommittedClear(t *testing.T) {
 	cfg := testConfig(t, func(c *Config) {
 		c.SnapshotDir = dir
 		c.FlushInterval = 0
-		c.MaxBatchCols = 1 << 20
 	})
 	srv1, err := New(cfg)
 	if err != nil {

@@ -63,7 +63,7 @@ func TestServeConcurrencyContract(t *testing.T) {
 		}
 		seen[emb.Generation] = observed{
 			faults:   emb.Faults,
-			mapHash:  MapChecksum(emb.Map),
+			mapHash:  wire.Checksum(emb.Map),
 			checksum: emb.Checksum,
 			m:        emb.Map,
 		}
@@ -345,7 +345,7 @@ func TestServeConcurrencyContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generation %d (%d faults): from-scratch Extract failed: %v", gen, faults.Count(), err)
 		}
-		if got := MapChecksum(want.Map); got != obs.mapHash {
+		if got := wire.Checksum(want.Map); got != obs.mapHash {
 			for i := range want.Map {
 				if obs.m != nil && want.Map[i] != obs.m[i] {
 					t.Fatalf("generation %d: served embedding differs from from-scratch Extract at guest node %d (%d faults)",

@@ -511,7 +511,7 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("since")
 	if raw == "" {
 		if binary {
-			b, err := snap.wireFull(t.cfg.ID)
+			b, err := wire.EncodeSnapshot(snap.wireSnapshot(t.cfg.ID))
 			if err != nil {
 				s.writeErr(w, fterr.Wrapf(fterr.Internal, "server", err, "encode embedding"))
 				return
@@ -543,8 +543,9 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.metrics.deltaServed.Add(1)
+	d := t.wireDelta(snap, since, cols)
 	if binary {
-		b, err := t.wireDeltaEncoded(snap, since, cols)
+		b, err := wire.EncodeDelta(d)
 		if err != nil {
 			s.writeErr(w, fterr.Wrapf(fterr.Internal, "server", err, "encode delta"))
 			return
@@ -552,7 +553,6 @@ func (s *Server) handleEmbedding(w http.ResponseWriter, r *http.Request) {
 		writeWire(w, b)
 		return
 	}
-	d := t.wireDelta(snap, since, cols)
 	cus := make([]columnUpdateJSON, len(d.Cols))
 	for i, cu := range d.Cols {
 		cus[i] = columnUpdateJSON{Col: cu.Col, Vals: cu.Vals}

@@ -13,6 +13,7 @@ import (
 
 	"ftnet"
 	"ftnet/internal/fterr"
+	"ftnet/internal/wire"
 )
 
 // testConfig hosts one small topology (guest side 192, 49k host nodes —
@@ -139,7 +140,7 @@ func TestServeRoundtrip(t *testing.T) {
 			t.Fatalf("map differs from from-scratch Extract at %d", i)
 		}
 	}
-	if got := fmt.Sprintf("%016x", MapChecksum(emb.Map)); got != emb.Checksum {
+	if got := fmt.Sprintf("%016x", wire.Checksum(emb.Map)); got != emb.Checksum {
 		t.Fatalf("checksum mismatch: computed %s, served %s", got, emb.Checksum)
 	}
 
@@ -295,49 +296,12 @@ func TestServeNotTolerated(t *testing.T) {
 	}
 }
 
-// TestServeBatchingPolicy exercises the two asynchronous triggers: the
-// footprint threshold and the periodic flush.
+// TestServeBatchingPolicy exercises the triggers that evaluate
+// asynchronous mutations: the periodic flush, an explicit reembed, and a
+// synchronous request joining the batch.
 func TestServeBatchingPolicy(t *testing.T) {
-	t.Run("threshold", func(t *testing.T) {
-		srv, ts := startServer(t, testConfig(t, func(c *Config) {
-			c.MaxBatchCols = 3
-			c.FlushInterval = 0 // no timer (disabled): only the threshold can trigger
-		}))
-		topo := srv.topos["main"]
-		numCols := topo.numCols
-
-		// Two async mutations in two distinct columns: below threshold,
-		// nothing evaluates.
-		for i := 0; i < 2; i++ {
-			code, _ := doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults?wait=0",
-				mutationRequest{Nodes: []int{i}}, nil)
-			if code != 202 {
-				t.Fatalf("async POST: %d", code)
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-		if g := topo.metrics.generation.Load(); g != 0 {
-			t.Fatalf("below-threshold batch evaluated early (generation %d)", g)
-		}
-		// A third distinct column crosses the threshold.
-		code, _ := doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults?wait=0",
-			mutationRequest{Nodes: []int{2, 2 + numCols}}, nil)
-		if code != 202 {
-			t.Fatalf("async POST: %d", code)
-		}
-		waitFor(t, "threshold-triggered evaluation", func() bool {
-			return topo.metrics.generation.Load() >= 1
-		})
-		var emb embeddingResponse
-		doJSON(t, "GET", ts.URL+"/v1/topologies/main/embedding", nil, &emb)
-		if len(emb.Faults) != 4 {
-			t.Fatalf("committed faults = %v, want all 4", emb.Faults)
-		}
-	})
-
 	t.Run("flush-interval", func(t *testing.T) {
 		srv, ts := startServer(t, testConfig(t, func(c *Config) {
-			c.MaxBatchCols = 1 << 20
 			c.FlushInterval = 30 * time.Millisecond
 		}))
 		topo := srv.topos["main"]
@@ -353,7 +317,6 @@ func TestServeBatchingPolicy(t *testing.T) {
 
 	t.Run("explicit-reembed", func(t *testing.T) {
 		_, ts := startServer(t, testConfig(t, func(c *Config) {
-			c.MaxBatchCols = 1 << 20
 			c.FlushInterval = 0
 		}))
 		code, _ := doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults?wait=0",
@@ -365,6 +328,22 @@ func TestServeBatchingPolicy(t *testing.T) {
 		code, _ = doJSON(t, "POST", ts.URL+"/v1/topologies/main/reembed", nil, &st)
 		if code != 200 || st.FaultCount != 1 {
 			t.Fatalf("explicit reembed: %d %+v", code, st)
+		}
+	})
+
+	t.Run("sync-joins", func(t *testing.T) {
+		_, ts := startServer(t, testConfig(t, func(c *Config) {
+			c.FlushInterval = 0 // no timer: only the synchronous request can trigger
+		}))
+		code, _ := doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults?wait=0",
+			mutationRequest{Nodes: []int{42}}, nil)
+		if code != 202 {
+			t.Fatalf("async POST: %d", code)
+		}
+		var st stateResponse
+		code, _ = doJSON(t, "POST", ts.URL+"/v1/topologies/main/faults", mutationRequest{Nodes: []int{77}}, &st)
+		if code != 200 || st.Generation != 1 || st.FaultCount != 2 {
+			t.Fatalf("synchronous POST: %d %+v, want one evaluation committing both faults", code, st)
 		}
 	})
 }
@@ -427,7 +406,6 @@ func TestServeCloseFlushesPending(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, func(c *Config) {
 		c.SnapshotDir = dir
-		c.MaxBatchCols = 1 << 20
 		c.FlushInterval = 0
 	})
 	srv1, err := New(cfg)

@@ -44,7 +44,7 @@ type diskSnapshot struct {
 	// SessionEdges is the edge analogue of SessionFaults, with the same
 	// null-versus-empty distinction against Edges.
 	SessionEdges [][2]int `json:"session_edges"`
-	// EmbeddingChecksum is MapChecksum of the committed map, hex-encoded.
+	// EmbeddingChecksum is wire.Checksum of the committed map, hex-encoded.
 	EmbeddingChecksum string `json:"embedding_checksum"`
 }
 

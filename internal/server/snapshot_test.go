@@ -24,7 +24,6 @@ func TestServeSnapshotIncludesAcceptedMutations(t *testing.T) {
 	srv, ts := startServer(t, testConfig(t, func(c *Config) {
 		c.SnapshotDir = dir
 		c.FlushInterval = 0
-		c.MaxBatchCols = 1 << 20
 	}))
 	topo := srv.topos["main"]
 	base := ts.URL + "/v1/topologies/main"
@@ -115,7 +114,6 @@ func TestServeSnapshotV1Compat(t *testing.T) {
 		return testConfig(t, func(c *Config) {
 			c.SnapshotDir = dir
 			c.FlushInterval = 0
-			c.MaxBatchCols = 1 << 20
 		})
 	}
 
@@ -269,7 +267,9 @@ func TestSnapshotRestoreRejectsOutOfRangeGeneration(t *testing.T) {
 // session list against its committed list by a sorted merge, so a list
 // out of order, with a duplicate or with a reversed edge would silently
 // clear recorded faults. Every list must be as the daemon writes it, or
-// the file is corrupt. Each row edits one list of the v1 file.
+// the file is corrupt — and so is a node outside the host or a pair
+// that is no host edge, which only the replay rejects. Each row edits
+// one list of the v1 file.
 func TestSnapshotRestoreRejectsNonCanonicalLists(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1_pending.json"))
 	if err != nil {
@@ -289,6 +289,10 @@ func TestSnapshotRestoreRejectsNonCanonicalLists(t *testing.T) {
 		{"session_edges out of order", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{15851, 15852}, {7932, 7933}} }},
 		{"session_edges duplicate", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{7932, 7933}, {7932, 7933}, {15851, 15852}} }},
 		{"session_edges reversed pair", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{7933, 7932}, {15851, 15852}} }},
+		{"faults node outside host", func(d *diskSnapshot) { d.Faults = []int{17, 5000, 49152} }},
+		{"session_faults node outside host", func(d *diskSnapshot) { d.SessionFaults = []int{5000, 9999, 49152} }},
+		{"edges not a host edge", func(d *diskSnapshot) { d.Edges = [][2]int{{13, 14}, {7932, 9000}} }},
+		{"session_edges node outside host", func(d *diskSnapshot) { d.SessionEdges = [][2]int{{7932, 7933}, {15851, 49152}} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var d diskSnapshot

@@ -9,16 +9,14 @@
 // the session as soon as the writer frees up and covered by the *next*
 // evaluation, so a burst of k concurrent fault reports costs a small
 // constant number of Evals, not k (the acceptance contract of the race
-// test). Asynchronous mutations (?wait=0) accumulate until the batching
-// policy triggers: the accumulated footprint stops being small (>=
-// MaxBatchCols distinct host columns), a flush interval elapses, an
-// explicit POST .../reembed arrives, or a synchronous request joins the
-// batch. Snapshot writes ride the same queue: the writer persists the
-// session after applying every request queued ahead of the snapshot, so
-// the file includes every mutation acknowledged before it was asked
-// for. Readers never enter the queue: GET .../embedding is served from
-// an atomically swapped snapshot of the last committed embedding, so
-// reads never block on the writer.
+// test). Asynchronous mutations (?wait=0) accumulate until the flush
+// interval elapses, an explicit POST .../reembed arrives, or a
+// synchronous request joins the batch. Snapshot writes ride the same
+// queue: the writer persists the session after applying every request
+// queued ahead of the snapshot, so the file includes every mutation
+// acknowledged before it was asked for. Readers never enter the queue:
+// GET .../embedding is served from an atomically swapped snapshot of the
+// last committed embedding, so reads never block on the writer.
 package server
 
 import (
@@ -31,15 +29,13 @@ import (
 	"time"
 
 	"ftnet"
-	"ftnet/internal/fault"
 	"ftnet/internal/fterr"
 	"ftnet/internal/wire"
 )
 
 // Snapshot is one committed state of a topology: a verified embedding
 // and exactly the fault set it was committed with. Snapshots are
-// immutable (never copy one by value: the binary-encoding cache is a
-// sync.Once); readers share them by pointer.
+// immutable; readers share them by pointer.
 type Snapshot struct {
 	// Generation counts successful commits (monotone; restored from the
 	// snapshot file across restarts).
@@ -53,28 +49,13 @@ type Snapshot struct {
 	// canonical (u < v) pairs, sorted lexicographically. Emb avoids the
 	// charged endpoint of every listed edge (the Theorem 2 reduction).
 	FaultEdges [][2]int
-	// Checksum is the FNV-1a hash of Emb.Map (see MapChecksum).
+	// Checksum is the FNV-1a hash of Emb.Map (see wire.Checksum).
 	Checksum uint64
 
 	// delta is this generation's entry in the topology's bounded diff
 	// chain (set before the snapshot is published).
 	delta *deltaRec
-	// Lazy binary full encoding, shared by every reader of this
-	// generation (see wireFull).
-	binOnce sync.Once
-	binData []byte
-	binErr  error
-	// Encoded binary delta responses keyed by since generation,
-	// filled on first demand (see wireDeltaEncoded).
-	deltaMu    sync.Mutex
-	deltaCache map[int64][]byte
 }
-
-// MapChecksum hashes an embedding map for snapshot integrity checks:
-// the pipeline is deterministic, so a restore that replays the fault set
-// must reproduce the map bit-identically. It is the binary protocol's
-// checksum too (wire.Checksum is the same function).
-func MapChecksum(m []int) uint64 { return wire.Checksum(m) }
 
 // errShutdown is returned to requests caught by a daemon shutdown: a
 // coded fterr.Unavailable sentinel (retryable — another replica, or this
@@ -127,14 +108,12 @@ type topology struct {
 	// by Server.Close once done is closed).
 	pendingMuts  int
 	pendingNodes int
-	pendingCols  map[int]struct{}
 	waiters      []chan result
 	closeErr     error
 
-	maxBatchCols int
-	flushEvery   time.Duration
-	deltaRing    int          // bound on the delta chain length
-	evalDelay    atomic.Int64 // test hook (nanoseconds): stretches the eval window
+	flushEvery time.Duration
+	deltaRing  int          // bound on the delta chain length
+	evalDelay  atomic.Int64 // test hook (nanoseconds): stretches the eval window
 
 	// Watch subscribers: each holds a capacity-1 signal channel the
 	// writer pokes (non-blocking) after every commit. Handlers read the
@@ -191,20 +170,18 @@ func newTopology(cfg TopologyConfig, policy Config, restore *diskSnapshot) (*top
 		numCols *= host.Side()
 	}
 	t := &topology{
-		cfg:          cfg,
-		host:         host,
-		ses:          host.NewSession(),
-		numCols:      numCols,
-		reqs:         make(chan request, 256),
-		stopc:        make(chan struct{}),
-		done:         make(chan struct{}),
-		metrics:      &topoMetrics{},
-		snapDir:      policy.SnapshotDir,
-		pendingCols:  make(map[int]struct{}),
-		maxBatchCols: policy.maxBatchCols(),
-		flushEvery:   policy.flushInterval(),
-		deltaRing:    policy.deltaRing(),
-		watchers:     make(map[chan struct{}]struct{}),
+		cfg:        cfg,
+		host:       host,
+		ses:        host.NewSession(),
+		numCols:    numCols,
+		reqs:       make(chan request, 256),
+		stopc:      make(chan struct{}),
+		done:       make(chan struct{}),
+		metrics:    &topoMetrics{},
+		snapDir:    policy.SnapshotDir,
+		flushEvery: policy.flushInterval(),
+		deltaRing:  policy.deltaRing(),
+		watchers:   make(map[chan struct{}]struct{}),
 	}
 	gen := int64(0)
 	if restore != nil {
@@ -212,7 +189,7 @@ func newTopology(cfg TopologyConfig, policy Config, restore *diskSnapshot) (*top
 			return nil, err
 		}
 		if err := t.mutateSession(request{kind: reqAdd, nodes: restore.Faults, edges: restore.Edges}); err != nil {
-			return nil, fmt.Errorf("topology %s: restore: %w", cfg.ID, err)
+			return nil, fterr.Wrapf(fterr.Corrupt, "server.snapshot", err, "topology %s: restore", cfg.ID)
 		}
 		gen = restore.Generation
 		t.metrics.restored.Store(1)
@@ -262,7 +239,7 @@ func (t *topology) restoreUncommitted(restore *diskSnapshot) error {
 			continue
 		}
 		if err := t.apply(req); err != nil {
-			return fmt.Errorf("topology %s: restore uncommitted: %w", t.cfg.ID, err)
+			return fterr.Wrapf(fterr.Corrupt, "server.snapshot", err, "topology %s: restore uncommitted", t.cfg.ID)
 		}
 	}
 	// However many requests built it, the restored delta is one pending
@@ -324,7 +301,7 @@ func (t *topology) run() {
 			t.drain()
 			// A waiter (a synchronous mutation or a flush) forces the
 			// evaluation.
-			if len(t.waiters) > 0 || len(t.pendingCols) >= t.maxBatchCols {
+			if len(t.waiters) > 0 {
 				t.eval()
 			}
 		case <-tick:
@@ -369,13 +346,6 @@ func (t *topology) apply(req request) error {
 		}
 		t.pendingMuts++
 		t.pendingNodes += len(req.nodes) + len(req.edges)
-		for _, v := range req.nodes {
-			t.pendingCols[v%t.numCols] = struct{}{}
-		}
-		for _, e := range req.edges {
-			// An edge fault only dirties its charged endpoint's column.
-			t.pendingCols[fault.ChargedEndpoint(e[0], e[1])%t.numCols] = struct{}{}
-		}
 		t.metrics.pendingRequests.Store(int64(t.pendingMuts))
 	}
 	if req.reply != nil {
@@ -407,7 +377,6 @@ func (t *topology) mutateSession(req request) error {
 func (t *topology) eval() {
 	muts, nodes := t.pendingMuts, t.pendingNodes
 	t.pendingMuts, t.pendingNodes = 0, 0
-	clear(t.pendingCols)
 	waiters := t.waiters
 	t.waiters = nil
 	t.metrics.pendingRequests.Store(0)
@@ -448,7 +417,7 @@ func (t *topology) commit(gen int64, emb *ftnet.Embedding, d *ftnet.EmbeddingDel
 		Emb:        emb,
 		FaultNodes: t.ses.FaultNodes(),
 		FaultEdges: t.ses.FaultEdges(),
-		Checksum:   MapChecksum(emb.Map),
+		Checksum:   wire.Checksum(emb.Map),
 	}
 	t.linkDelta(t.snap.Load(), snap, d)
 	t.snap.Store(snap)

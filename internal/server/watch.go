@@ -94,10 +94,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	// emitRaw writes pre-rendered event bytes; emit renders ad hoc (for
-	// the subscribe-time baseline and resync events, which are rare —
-	// per-commit events stream the bytes cached on the delta record).
-	emitRaw := func(data []byte) bool {
+	emit := func(data []byte) bool {
 		if _, err := w.Write(data); err != nil {
 			return false
 		}
@@ -105,18 +102,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		t.metrics.watchEvents.Add(1)
 		return true
 	}
-	emit := func(name string, ev watchEvent) bool {
-		return emitRaw(renderWatchEvent(name, ev))
-	}
 	headEvent := func(name string, snap *Snapshot) bool {
-		return emit(name, watchEvent{
+		return emit(renderWatchEvent(name, watchEvent{
 			Topology:    t.cfg.ID,
 			Generation:  snap.Generation,
 			Checksum:    fmt.Sprintf("%016x", snap.Checksum),
 			Faults:      snap.FaultNodes,
 			EdgeFaults:  edgesOrEmpty(snap.FaultEdges),
 			ChangedCols: -1,
-		})
+		}))
 	}
 	// catchUp streams one "commit" event per generation in (last, head],
 	// oldest-first, from the delta ring — or a single "resync" event
@@ -128,7 +122,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return snap.Generation, headEvent("resync", snap)
 		}
 		for i := len(recs) - 1; i >= 0; i-- {
-			if !emitRaw(recs[i].commitEvent(t.cfg.ID)) {
+			if !emit(recs[i].commitEvent(t.cfg.ID)) {
 				return snap.Generation, false
 			}
 		}

@@ -144,8 +144,8 @@ const (
 )
 
 // Checksum hashes an embedding map: FNV-1a over each entry's 8
-// little-endian bytes, in map (row-major) order — identical to the
-// checksum field of the JSON wire (server.MapChecksum delegates here).
+// little-endian bytes, in map (row-major) order — the checksum field of
+// the JSON wire and of the daemon's snapshot files too.
 // An entry below 2^16 folds its zero high bytes into one multiply, so
 // it costs 2 multiplies, not 8; any other entry hashes all 8 bytes.
 // FuzzChecksum pins the result to hash/fnv.

@@ -24,6 +24,7 @@ package worstcase
 
 import (
 	"fmt"
+	"slices"
 
 	"ftnet/internal/embed"
 	"ftnet/internal/fault"
@@ -266,7 +267,7 @@ func (g *Graph) Mask(faults *fault.Set) (*Masking, error) {
 		for s := range slotSet {
 			bottoms = append(bottoms, grid.Add(best+1, s*mod, m))
 		}
-		sortInts(bottoms)
+		slices.Sort(bottoms)
 		mk.Bottoms[dim] = bottoms
 		remaining = next
 	}
@@ -274,14 +275,6 @@ func (g *Graph) Mask(faults *fault.Set) (*Masking, error) {
 		return nil, fmt.Errorf("worstcase: internal: %d faults left after cascade", len(remaining))
 	}
 	return mk, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // UnmaskedCoords returns, per dimension, the sorted coordinates not covered

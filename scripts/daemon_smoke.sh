@@ -2,7 +2,8 @@
 # End-to-end smoke test of ftnetd: start the daemon, report faults over
 # the wire, fetch the committed embedding, snapshot to disk, restart
 # from the snapshot, and demand a bit-identical embedding response from
-# the restored daemon. A final chaos leg restarts the daemon with fault
+# the restored daemon; an asynchronous report must be committed by the
+# flush timer. A final chaos leg restarts the daemon with fault
 # injection (-chaos: latency + 5xx bursts) and proves the SDK-based
 # client still converges, with the injection and error-code counters
 # visible on /metrics. Run by the CI "daemon-smoke" job; needs curl.
@@ -124,6 +125,27 @@ curl -fsS -H "$WIRE_ACCEPT" "$BASE/embedding?since=$GEN_MID" -o "$WORK/delta.bin
 if ! cmp -s "$WORK/emb_head.json" "$WORK/delta_decoded.json"; then
   echo "delta-applied embedding differs from the served head JSON:" >&2
   ls -l "$WORK/emb_head.json" "$WORK/delta_decoded.json" >&2
+  exit 1
+fi
+
+echo "== async report: the flush timer evaluates a ?wait=0 batch =="
+# Re-reporting a committed fault keeps the evaluation tolerated, whatever
+# the fault geometry, so the default 250 ms flush timer must commit a
+# new generation.
+GEN_HEAD="$(sed -n 's/.*"generation":\([0-9]*\).*/\1/p' "$WORK/emb_head.json")"
+STATUS="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/faults?wait=0" -d '{"nodes":[41414]}' || true)"
+if [ "$STATUS" != "202" ]; then
+  echo "async re-report returned $STATUS, want 202" >&2
+  exit 1
+fi
+GEN_NOW="$GEN_HEAD"
+for i in $(seq 1 50); do
+  GEN_NOW="$(curl -fsS "$BASE" | sed -n 's/.*"generation":\([0-9]*\).*/\1/p')"
+  [ "$GEN_NOW" -gt "$GEN_HEAD" ] && break
+  sleep 0.1
+done
+if [ "$GEN_NOW" -le "$GEN_HEAD" ]; then
+  echo "async report not evaluated within 5 s: generation $GEN_NOW, was $GEN_HEAD" >&2
   exit 1
 fi
 
