@@ -1,8 +1,7 @@
 package ftnet
 
-// One benchmark per experiment table/figure (see DESIGN.md section 4 and
-// EXPERIMENTS.md): each exercises the code path that regenerates the
-// corresponding result, so `go test -bench .` doubles as a performance
+// One benchmark per experiment table/figure: each exercises the code
+// path that regenerates the corresponding result, so `go test -bench .` doubles as a performance
 // regression suite for the whole reproduction.
 
 import (
@@ -866,7 +865,7 @@ func BenchmarkRenderFigure(b *testing.B) {
 	}
 }
 
-// BenchmarkStencil covers the application check (EXPERIMENTS.md): one
+// BenchmarkStencil covers the application check of examples/stencil: one
 // Jacobi step per processor on the extracted machine's logical torus.
 func BenchmarkStencil(b *testing.B) {
 	m := parsimIdeal(b, 432)

@@ -5,9 +5,9 @@
 //	experiments [-quick] [-seed N] [-workers N] [-ci W] [-independent] [-list] [-run E1,E7,...|all]
 //
 // Each experiment prints the claim it reproduces followed by the measured
-// table; EXPERIMENTS.md records the expected shapes. Monte-Carlo sweeps
-// run on the deterministic parallel engine (internal/parallel): for a
-// fixed -seed the tables are bit-identical for every -workers value.
+// table. Monte-Carlo sweeps run on the deterministic parallel engine
+// (internal/parallel): for a fixed -seed the tables are bit-identical for
+// every -workers value.
 // -ci sets an early-stopping target (95% Wilson interval width); with the
 // coupled curve engine (internal/sweep) each rung of a rate ladder stops
 // on its own. -independent disables the nested coupling for ablation:

@@ -151,7 +151,7 @@ func runSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	machine, err := parsim.New(res.Embedding, core.NewHostView(g, faults, nil))
+	machine, err := parsim.New(res.Embedding, g, faults)
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine, err := parsim.New(res.Embedding, core.NewHostView(g, faults, nil))
+	machine, err := parsim.New(res.Embedding, g, faults)
 	if err != nil {
 		log.Fatal(err)
 	}

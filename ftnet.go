@@ -261,7 +261,6 @@ func (t *RandomFaultTorus) Healthy(f *Faults) bool {
 // valid after further mutations.
 type Session struct {
 	t       *RandomFaultTorus
-	sc      *core.Scratch
 	ses     *core.Session
 	charger *fault.Charger
 	delta   []int
@@ -269,11 +268,9 @@ type Session struct {
 
 // NewSession starts a session on the fault-free host.
 func (t *RandomFaultTorus) NewSession() *Session {
-	sc := core.NewScratch(1)
 	return &Session{
 		t:       t,
-		sc:      sc,
-		ses:     t.g.NewSession(sc, core.ExtractOptions{}),
+		ses:     t.g.NewSession(core.NewScratch(1), core.ExtractOptions{}),
 		charger: fault.NewCharger(t.g.NumNodes()),
 	}
 }

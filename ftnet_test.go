@@ -2,6 +2,7 @@ package ftnet
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -172,6 +173,39 @@ func TestWorstCaseTorusOverBudget(t *testing.T) {
 	}
 	if _, err := host.Extract(faults, nil); !errors.Is(err, ErrNotTolerated) {
 		t.Fatalf("expected ErrNotTolerated, got %v", err)
+	}
+}
+
+// TestWorstCaseEdgeOrderIndependent: Theorem 3 charges a faulty edge to
+// one endpoint, and the charged endpoint must not depend on the order
+// the edge's endpoints are listed in, so {u, v} and {v, u} give the same
+// embedding.
+func TestWorstCaseEdgeOrderIndependent(t *testing.T) {
+	host, err := NewWorstCaseTorus(2, 80, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i := 0; i < 10; i++ {
+		x, y := 30+3*i, 30+5*i
+		u := host.HostIndex(x, y)
+		for _, v := range []int{host.HostIndex(x+1, y), host.HostIndex(x, y+1)} {
+			fwd, err := host.Extract(host.NewFaults(), [][2]int{{u, v}})
+			if err != nil {
+				t.Fatalf("edge {%d,%d}: %v", u, v, err)
+			}
+			rev, err := host.Extract(host.NewFaults(), [][2]int{{v, u}})
+			if err != nil {
+				t.Fatalf("edge {%d,%d}: %v", v, u, err)
+			}
+			if !slices.Equal(fwd.Map, rev.Map) {
+				differ++
+				t.Errorf("edge {%d,%d}: the embedding depends on the endpoint order", u, v)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of 20 edges embed differently when their endpoints are swapped", differ)
 	}
 }
 

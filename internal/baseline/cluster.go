@@ -14,9 +14,9 @@
 //     discarded wholesale; tolerance degrades when faults cluster more
 //     than the bypass reach, which is exactly the trade-off the intro's
 //     comparison (O(n^{2/3}) vs our O(n^{3/4}) faults) reflects. The BCH
-//     construction proper is a full paper of its own; DESIGN.md refinement
-//     7 documents this substitution and EXPERIMENTS.md also reports the
-//     analytic BCH numbers next to the measured SpareGrid ones.
+//     construction proper is a full paper of its own, so SpareGrid stands
+//     in for it, and AnalyticBCH reports the analytic BCH numbers next to
+//     the measured SpareGrid ones.
 package baseline
 
 import (
@@ -131,24 +131,12 @@ func (c *ClusterTorus) Embed(nodeFaults *fault.Set, edges *fault.Oracle) (*embed
 		}
 		e.Map[gi] = chosen
 	}
-	if err := e.Verify(clusterHost{c: c, nodes: nodeFaults, edges: edges}); err != nil {
+	var edgeFaulty func(u, v int) bool
+	if edges != nil {
+		edgeFaulty = edges.EdgeFaulty
+	}
+	if err := e.Verify(c, nodeFaults, edgeFaulty); err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-type clusterHost struct {
-	c     *ClusterTorus
-	nodes *fault.Set
-	edges *fault.Oracle
-}
-
-func (h clusterHost) NumNodes() int          { return h.c.NumNodes() }
-func (h clusterHost) Adjacent(u, v int) bool { return h.c.Adjacent(u, v) }
-func (h clusterHost) NodeFaulty(u int) bool  { return h.nodes.Has(u) }
-func (h clusterHost) EdgeFaulty(u, v int) bool {
-	if h.edges == nil {
-		return false
-	}
-	return h.edges.EdgeFaulty(u, v)
 }

@@ -96,7 +96,7 @@ func (sg *SpareGrid) Recover(faults *fault.Set) (*embed.Embedding, error) {
 			e.Map[i*sg.N+j] = keepRows[i]*side + keepCols[j]
 		}
 	}
-	if err := e.Verify(spareHost{sg: sg, faults: faults}); err != nil {
+	if err := e.Verify(sg, faults, nil); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -135,13 +135,3 @@ func (sg *SpareGrid) keepLines(bad map[int]bool, kind string) ([]int, error) {
 func AnalyticBCH(n, k int) (degree int, nodes int) {
 	return 13, n*n + k*k*k
 }
-
-type spareHost struct {
-	sg     *SpareGrid
-	faults *fault.Set
-}
-
-func (h spareHost) NumNodes() int            { return h.sg.NumNodes() }
-func (h spareHost) Adjacent(u, v int) bool   { return h.sg.Adjacent(u, v) }
-func (h spareHost) NodeFaulty(u int) bool    { return h.faults.Has(u) }
-func (h spareHost) EdgeFaulty(u, v int) bool { return false }

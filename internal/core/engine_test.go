@@ -494,3 +494,56 @@ func TestEngineCheckHoldsNoMap(t *testing.T) {
 		t.Fatal("the map sync that allocated the map must drain a full delta")
 	}
 }
+
+// TestSessionAblatedGraphMatchesDense: on a graph with an edge class
+// removed, a session's Eval, and its Check after a Reset, fail exactly
+// when the dense pipeline does, and never as an *UnhealthyError. Without
+// vertical jumps the default embedding does not verify, so the template
+// is marked failed and every step runs the dense pipeline itself: the
+// errors then read the same. Without diagonal jumps the template holds,
+// and the session's own verifier rejects the bent rows.
+func TestSessionAblatedGraphMatchesDense(t *testing.T) {
+	cases := []struct {
+		name         string
+		noVJ, noDJ   bool
+		fault        bool
+		denseRunsAll bool
+	}{
+		{"no vertical jumps, no faults", true, false, false, true},
+		{"no diagonal jumps, one fault", false, true, true, false},
+		{"no vertical jumps, one fault", true, false, true, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := mustGraph(t, testParams2D())
+			g.DisableVJump, g.DisableDJump = c.noVJ, c.noDJ
+			faults := fault.NewSet(g.NumNodes())
+			if c.fault {
+				faults.Add(g.NodeIndex(100, 100))
+			}
+			var ue *UnhealthyError
+			_, denseErr := g.ContainTorus(faults, ExtractOptions{})
+			if errors.As(denseErr, &ue) {
+				t.Fatalf("dense: an ablated graph reported an unhealthy fault set: %v", denseErr)
+			}
+			ses := g.NewSession(NewScratch(1), ExtractOptions{})
+			_, evalErr := ses.Eval(faults)
+			ses.Reset()
+			checkErr := ses.Check(faults)
+			for _, step := range []struct {
+				what string
+				err  error
+			}{{"Eval", evalErr}, {"Check", checkErr}} {
+				if (step.err == nil) != (denseErr == nil) {
+					t.Fatalf("%s: err = %v, dense err = %v", step.what, step.err, denseErr)
+				}
+				if errors.As(step.err, &ue) {
+					t.Fatalf("%s: an ablated graph reported an unhealthy fault set: %v", step.what, step.err)
+				}
+				if c.denseRunsAll && step.err != nil && step.err.Error() != denseErr.Error() {
+					t.Fatalf("%s: err = %q, want the dense pipeline's %q", step.what, step.err, denseErr)
+				}
+			}
+		})
+	}
+}

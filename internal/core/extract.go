@@ -147,41 +147,6 @@ func (g *Graph) transferRows(bs *bands.Set, zFrom, zTo int, src, dst []int32) er
 	return nil
 }
 
-// HostView adapts a faulty B^d_n to the embed.Host interface. Edges is
-// the (possibly nil) set of faulty host edges: the placement pipeline
-// itself never consults it — Theorem 2 charges every edge fault to an
-// endpoint and evaluates the charged *node* set — but an edge-aware view
-// lets embed.Verify independently confirm the charging argument, that an
-// embedding avoiding all charged nodes uses no faulty edge.
-//
-// Construct views with NewHostView so call sites cannot silently omit
-// the edge-fault field when they have one.
-type HostView struct {
-	G      *Graph
-	Faults *fault.Set
-	Edges  *fault.EdgeSet
-}
-
-// NewHostView builds the embed.Host view of a faulty B^d_n. faults is
-// the node-fault set the embedding was verified against (for an
-// edge-fault workload, the *effective* charged set — see fault.Charger);
-// edges may be nil when the workload has no edge faults.
-func NewHostView(g *Graph, faults *fault.Set, edges *fault.EdgeSet) HostView {
-	return HostView{G: g, Faults: faults, Edges: edges}
-}
-
-// NumNodes implements embed.Host.
-func (h HostView) NumNodes() int { return h.G.NumNodes() }
-
-// Adjacent implements embed.Host.
-func (h HostView) Adjacent(u, v int) bool { return h.G.Adjacent(u, v) }
-
-// NodeFaulty implements embed.Host.
-func (h HostView) NodeFaulty(u int) bool { return h.Faults.Has(u) }
-
-// EdgeFaulty implements embed.Host.
-func (h HostView) EdgeFaulty(u, v int) bool { return h.Edges != nil && h.Edges.Has(u, v) }
-
 // Result bundles a successful survival proof for one faulty instance.
 type Result struct {
 	Bands     *bands.Set
@@ -226,8 +191,7 @@ func (g *Graph) containDense(faults *fault.Set, opts ExtractOptions) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	host := NewHostView(g, faults, nil)
-	if err := emb.VerifyBuf(host, opts.Scratch.seenBuf(g.NumNodes())); err != nil {
+	if err := emb.VerifyBuf(g, faults, nil, opts.Scratch.seenBuf(g.NumNodes())); err != nil {
 		return nil, err
 	}
 	return &Result{Bands: bs, Embedding: emb, Report: rep}, nil

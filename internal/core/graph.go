@@ -131,18 +131,11 @@ func (g *Graph) Neighbors(idx int, buf []int) []int {
 
 // Adjacent reports whether flat indices u and v are connected in B^d_n.
 func (g *Graph) Adjacent(u, v int) bool {
-	iu, zu := g.NodeOf(u)
-	iv, zv := g.NodeOf(v)
-	return g.adjacentRC(iu, zu, iv, zv)
-}
-
-// adjacentRC is Adjacent on pre-split (row, column) pairs: the
-// locality-aware verifier walks columns directly and skips the NodeOf
-// divisions that would otherwise dominate its edge checks.
-func (g *Graph) adjacentRC(iu, zu, iv, zv int) bool {
-	if iu == iv && zu == zv {
+	if u == v {
 		return false
 	}
+	iu, zu := g.NodeOf(u)
+	iv, zv := g.NodeOf(v)
 	m := g.P.M()
 	w := g.P.W
 	di := grid.Dist(iu, iv, m)

@@ -130,7 +130,7 @@ func (g *Graph) buildTemplate() *template {
 			e.Map[base+z] = host + z
 		}
 	}
-	if err := e.Verify(NewHostView(g, fault.NewSet(g.NumNodes()), nil)); err != nil {
+	if err := e.Verify(g, fault.NewSet(g.NumNodes()), nil); err != nil {
 		tpl.err = fmt.Errorf("core: default embedding failed verification: %w", err)
 	}
 	return tpl

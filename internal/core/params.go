@@ -22,8 +22,7 @@ import (
 // Params fixes an exactly divisible instantiation of B^d_n.
 //
 // The paper assumes b^2 divides both n and m and leaves round-off implicit;
-// we make every divisibility exact by deriving the sizes from four integers
-// (see DESIGN.md section 2.1):
+// we make every divisibility exact by deriving the sizes from four integers:
 //
 //	tile side      = W^2           (paper: b^2, W is the paper's b)
 //	bands per slab = W^2 / Pitch   (paper: eps*b per row of tiles)

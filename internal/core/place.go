@@ -46,8 +46,8 @@ type PlaceReport struct {
 }
 
 // faultBox is a tile-aligned box isolating a cluster of faults: the
-// implementation's version of the paper's black regions (see DESIGN.md,
-// refinement 2). lo/ext are tile coordinates and extents per dimension
+// implementation's version of the paper's black regions, rounded out to
+// whole tiles. lo/ext are tile coordinates and extents per dimension
 // (dimension 0 indexes slabs); rows inside the box are addressed relative
 // to lo[0]*b^2.
 type faultBox struct {

@@ -12,8 +12,8 @@ import (
 // edge model): a mixed node+edge churn sequence driven through a
 // fault.Charger and a Session must be bit-identical, at every step, to a
 // dense from-scratch evaluation of the charged (effective) fault set —
-// and the committed embedding must independently verify against an
-// edge-aware HostView, proving that avoiding every charged node really
+// and the committed embedding must independently verify against the
+// faulty edges as well, proving that avoiding every charged node really
 // does avoid every faulty edge.
 
 // randomHostEdge draws a uniformly random host edge: a uniform node and
@@ -77,7 +77,7 @@ func edgeChurnStep(r rng.Source, g *Graph, c *fault.Charger, ses *Session, nbuf 
 
 // evalSessionCharged compares one Session.Eval of the effective set
 // against the dense pipeline, then re-verifies the committed embedding
-// against the edge-aware host view.
+// against the faulty edges as well.
 func evalSessionCharged(t *testing.T, g *Graph, ses *Session, c *fault.Charger, scDense *Scratch, label string) {
 	t.Helper()
 	sessionDenseStep(t, g, ses, c.Effective(), scDense, label)
@@ -85,8 +85,7 @@ func evalSessionCharged(t *testing.T, g *Graph, ses *Session, c *fault.Charger, 
 	if err != nil {
 		return // unhealthy episode; equivalence already checked above
 	}
-	host := NewHostView(g, c.Effective(), c.Edges())
-	if err := res.Embedding.Verify(host); err != nil {
+	if err := res.Embedding.Verify(g, c.Effective(), c.Edges().Has); err != nil {
 		t.Fatalf("%s: embedding failed edge-aware verification: %v", label, err)
 	}
 }

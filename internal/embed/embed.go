@@ -13,20 +13,18 @@ package embed
 import (
 	"fmt"
 
+	"ftnet/internal/fault"
 	"ftnet/internal/torus"
 )
 
-// Host is the minimal host-network view required for verification.
+// Host is the host network an embedding is verified against. Every
+// construction's graph implements it; the faults are passed to Verify
+// separately.
 type Host interface {
 	// NumNodes returns the number of host nodes.
 	NumNodes() int
 	// Adjacent reports whether u and v are connected by a host edge.
 	Adjacent(u, v int) bool
-	// NodeFaulty reports whether host node u is faulty.
-	NodeFaulty(u int) bool
-	// EdgeFaulty reports whether host edge {u, v} is faulty. Hosts with
-	// reliable edges return false.
-	EdgeFaulty(u, v int) bool
 }
 
 // Embedding maps each node of a guest torus/mesh to a host node.
@@ -57,15 +55,19 @@ func (e *Embedding) MeshRestriction() (*Embedding, error) {
 }
 
 // Verify checks that the embedding realizes a fault-free copy of the guest
-// inside the host. It returns nil on success and a descriptive error
-// naming the first violated condition otherwise.
-func (e *Embedding) Verify(h Host) error { return e.VerifyBuf(h, nil) }
+// inside the host whose faulty nodes are faults. edgeFaulty reports
+// whether the host edge {u, v} is faulty; it is nil when edges are
+// reliable. Verify returns nil on success and a descriptive error naming
+// the first violated condition otherwise.
+func (e *Embedding) Verify(h Host, faults *fault.Set, edgeFaulty func(u, v int) bool) error {
+	return e.VerifyBuf(h, faults, edgeFaulty, nil)
+}
 
 // VerifyBuf is Verify with a caller-provided injectivity bitmap: seen
 // must be all-false with length h.NumNodes() (nil allocates one).
 // Monte-Carlo workers pass a per-worker buffer to avoid an N-sized
 // allocation per trial; the check itself is identical.
-func (e *Embedding) VerifyBuf(h Host, seen []bool) error {
+func (e *Embedding) VerifyBuf(h Host, faults *fault.Set, edgeFaulty func(u, v int) bool, seen []bool) error {
 	n := e.Guest.N()
 	if len(e.Map) != n {
 		return fmt.Errorf("embed: map has %d entries, guest has %d nodes", len(e.Map), n)
@@ -82,7 +84,7 @@ func (e *Embedding) VerifyBuf(h Host, seen []bool) error {
 			return fmt.Errorf("embed: host node %d hosts two guest nodes (not injective)", u)
 		}
 		seen[u] = true
-		if h.NodeFaulty(u) {
+		if faults.Has(u) {
 			return fmt.Errorf("embed: guest node %d maps to faulty host node %d", g, u)
 		}
 	}
@@ -96,7 +98,7 @@ func (e *Embedding) VerifyBuf(h Host, seen []bool) error {
 			badEdge = fmt.Errorf("embed: guest edge (%d,%d) maps to non-adjacent host pair (%d,%d)", a, b, u, v)
 			return
 		}
-		if h.EdgeFaulty(u, v) {
+		if edgeFaulty != nil && edgeFaulty(u, v) {
 			badEdge = fmt.Errorf("embed: guest edge (%d,%d) maps to faulty host edge (%d,%d)", a, b, u, v)
 		}
 	})

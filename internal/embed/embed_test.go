@@ -4,15 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"ftnet/internal/fault"
 	"ftnet/internal/torus"
 )
 
-// ringHost is a cycle host with optional faulty nodes/edges for testing
-// the verifier.
+// ringHost is a cycle host for testing the verifier.
 type ringHost struct {
-	n          int
-	faultyNode map[int]bool
-	faultyEdge map[[2]int]bool
+	n int
 }
 
 func (h *ringHost) NumNodes() int { return h.n }
@@ -23,17 +21,8 @@ func (h *ringHost) Adjacent(u, v int) bool {
 	}
 	return d == 1 || d == h.n-1
 }
-func (h *ringHost) NodeFaulty(u int) bool { return h.faultyNode[u] }
-func (h *ringHost) EdgeFaulty(u, v int) bool {
-	if u > v {
-		u, v = v, u
-	}
-	return h.faultyEdge[[2]int{u, v}]
-}
 
-func ring(n int) *ringHost {
-	return &ringHost{n: n, faultyNode: map[int]bool{}, faultyEdge: map[[2]int]bool{}}
-}
+func ring(n int) *ringHost { return &ringHost{n: n} }
 
 func identityEmbedding(t *testing.T, n int) *Embedding {
 	t.Helper()
@@ -50,25 +39,25 @@ func identityEmbedding(t *testing.T, n int) *Embedding {
 
 func TestVerifyAccepts(t *testing.T) {
 	e := identityEmbedding(t, 8)
-	if err := e.Verify(ring(8)); err != nil {
+	if err := e.Verify(ring(8), fault.NewSet(8), nil); err != nil {
 		t.Errorf("identity embedding rejected: %v", err)
 	}
 }
 
 func TestVerifyRejectsFaultyNode(t *testing.T) {
 	e := identityEmbedding(t, 8)
-	h := ring(8)
-	h.faultyNode[3] = true
-	if err := e.Verify(h); err == nil || !strings.Contains(err.Error(), "faulty host node") {
+	faults := fault.NewSet(8)
+	faults.Add(3)
+	if err := e.Verify(ring(8), faults, nil); err == nil || !strings.Contains(err.Error(), "faulty host node") {
 		t.Errorf("faulty node not caught: %v", err)
 	}
 }
 
 func TestVerifyRejectsFaultyEdge(t *testing.T) {
 	e := identityEmbedding(t, 8)
-	h := ring(8)
-	h.faultyEdge[[2]int{2, 3}] = true
-	if err := e.Verify(h); err == nil || !strings.Contains(err.Error(), "faulty host edge") {
+	edges := fault.NewEdgeSet()
+	edges.Add(2, 3)
+	if err := e.Verify(ring(8), fault.NewSet(8), edges.Has); err == nil || !strings.Contains(err.Error(), "faulty host edge") {
 		t.Errorf("faulty edge not caught: %v", err)
 	}
 }
@@ -76,7 +65,7 @@ func TestVerifyRejectsFaultyEdge(t *testing.T) {
 func TestVerifyRejectsNonInjective(t *testing.T) {
 	e := identityEmbedding(t, 8)
 	e.Map[1] = 0
-	if err := e.Verify(ring(8)); err == nil || !strings.Contains(err.Error(), "injective") {
+	if err := e.Verify(ring(8), fault.NewSet(8), nil); err == nil || !strings.Contains(err.Error(), "injective") {
 		t.Errorf("non-injective map not caught: %v", err)
 	}
 }
@@ -85,7 +74,7 @@ func TestVerifyRejectsNonEdge(t *testing.T) {
 	e := identityEmbedding(t, 8)
 	// Swap two distant images: breaks adjacency but stays injective.
 	e.Map[0], e.Map[4] = e.Map[4], e.Map[0]
-	if err := e.Verify(ring(8)); err == nil || !strings.Contains(err.Error(), "non-adjacent") {
+	if err := e.Verify(ring(8), fault.NewSet(8), nil); err == nil || !strings.Contains(err.Error(), "non-adjacent") {
 		t.Errorf("broken adjacency not caught: %v", err)
 	}
 }
@@ -93,7 +82,7 @@ func TestVerifyRejectsNonEdge(t *testing.T) {
 func TestVerifyRejectsOutOfRange(t *testing.T) {
 	e := identityEmbedding(t, 8)
 	e.Map[2] = 99
-	if err := e.Verify(ring(8)); err == nil || !strings.Contains(err.Error(), "out-of-range") {
+	if err := e.Verify(ring(8), fault.NewSet(8), nil); err == nil || !strings.Contains(err.Error(), "out-of-range") {
 		t.Errorf("out-of-range map not caught: %v", err)
 	}
 }
@@ -101,7 +90,7 @@ func TestVerifyRejectsOutOfRange(t *testing.T) {
 func TestVerifyRejectsWrongLength(t *testing.T) {
 	e := identityEmbedding(t, 8)
 	e.Map = e.Map[:5]
-	if err := e.Verify(ring(8)); err == nil {
+	if err := e.Verify(ring(8), fault.NewSet(8), nil); err == nil {
 		t.Error("short map not caught")
 	}
 }
@@ -116,7 +105,7 @@ func TestMeshRestriction(t *testing.T) {
 		t.Fatal("restriction did not produce a mesh")
 	}
 	// The mesh embedding verifies against the same host (fewer edges).
-	if err := mesh.Verify(ring(8)); err != nil {
+	if err := mesh.Verify(ring(8), fault.NewSet(8), nil); err != nil {
 		t.Errorf("mesh restriction rejected: %v", err)
 	}
 	// The map is a copy, not an alias.

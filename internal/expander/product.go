@@ -138,18 +138,8 @@ func (p *Product) Embed(faults *fault.Set, r rng.Source, maxSteps int) (*embed.E
 		}
 		e.Map[gi] = path[gc[0]]*p.meshSize + mi
 	}
-	if err := e.Verify(productHost{p: p, faults: faults}); err != nil {
+	if err := e.Verify(p, faults, nil); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
-
-type productHost struct {
-	p      *Product
-	faults *fault.Set
-}
-
-func (h productHost) NumNodes() int            { return h.p.NumNodes() }
-func (h productHost) Adjacent(u, v int) bool   { return h.p.Adjacent(u, v) }
-func (h productHost) NodeFaulty(u int) bool    { return h.faults.Has(u) }
-func (h productHost) EdgeFaulty(u, v int) bool { return false }

@@ -161,7 +161,7 @@ func runE10(cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(cfg.Out, "shape check: below N* ~ %.0e the BCH curve is higher, as measured here; ours dominates its\n"+
-		"own theory curve (%d >= %.1f) and grows with N while N^{1/3} stays cube-root (see EXPERIMENTS.md).\n",
+		"own theory curve (%d >= %.1f) and grows with N while N^{1/3} stays cube-root.\n",
 		crossover, lo, theoryOurs)
 	if float64(lo) < theoryOurs {
 		return fmt.Errorf("E10: measured tolerance %d below our own theory curve %.1f", lo, theoryOurs)

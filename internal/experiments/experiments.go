@@ -2,9 +2,8 @@
 // the resource/tolerance statements of Theorems 1-3 (and 13), the
 // healthiness analysis of Lemma 4, the comparisons against FKP93 and
 // BCH93b from the introduction, the Section 5 expander baseline, and the
-// two figures. Each experiment is a self-contained driver printing a
-// table (or figure) to the configured writer; EXPERIMENTS.md records the
-// paper-vs-measured outcome for each.
+// two figures. Each experiment is self-contained: it prints the claim it
+// reproduces and a table (or figure) to the configured writer.
 package experiments
 
 import (

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"ftnet/internal/embed"
+	"ftnet/internal/fault"
 	"ftnet/internal/grid"
 )
 
@@ -26,14 +27,11 @@ type Machine struct {
 	HostOf []int
 }
 
-// New verifies the embedding against the host one more time and wraps it
-// as a machine. A nil host skips re-verification (for already-verified
-// embeddings).
-func New(e *embed.Embedding, host embed.Host) (*Machine, error) {
-	if host != nil {
-		if err := e.Verify(host); err != nil {
-			return nil, fmt.Errorf("parsim: embedding rejected: %w", err)
-		}
+// New verifies the embedding against the host with the given node
+// faults one more time and wraps it as a machine.
+func New(e *embed.Embedding, host embed.Host, faults *fault.Set) (*Machine, error) {
+	if err := e.Verify(host, faults, nil); err != nil {
+		return nil, fmt.Errorf("parsim: embedding rejected: %w", err)
 	}
 	m := &Machine{Shape: e.Guest.Shape.Clone(), HostOf: append([]int(nil), e.Map...)}
 	return m, nil

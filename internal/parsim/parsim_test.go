@@ -174,7 +174,7 @@ func TestReconfiguredMachineMatchesIdeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := New(res.Embedding, core.HostView{G: g, Faults: faults})
+	recon, err := New(res.Embedding, g, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestNewRejectsBrokenEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Embedding.Map[0] = res.Embedding.Map[1] // break injectivity
-	if _, err := New(res.Embedding, core.HostView{G: g, Faults: faults}); err == nil {
+	if _, err := New(res.Embedding, g, faults); err == nil {
 		t.Error("broken embedding accepted")
 	}
 }

@@ -368,7 +368,7 @@ func (g *Graph) Embed(fs *FaultState) (*embed.Embedding, *Stats, error) {
 		e.Map[gi] = chosen
 	}
 
-	if err := e.Verify(HostView{G: g, State: fs}); err != nil {
+	if err := e.Verify(g, fs.Nodes, fs.Edges.EdgeFaulty); err != nil {
 		return nil, st, err
 	}
 	return e, st, nil
@@ -379,21 +379,3 @@ func (g *Graph) Embed(fs *FaultState) (*embed.Embedding, *Stats, error) {
 // thresholds, so its appearance indicates a bug or a mis-parameterized
 // instance.
 var ErrNoCandidate = fmt.Errorf("no fault-free candidate node in supernode")
-
-// HostView adapts a faulty A^d_n to embed.Host.
-type HostView struct {
-	G     *Graph
-	State *FaultState
-}
-
-// NumNodes implements embed.Host.
-func (h HostView) NumNodes() int { return h.G.NumNodes() }
-
-// Adjacent implements embed.Host.
-func (h HostView) Adjacent(u, v int) bool { return h.G.Adjacent(u, v) }
-
-// NodeFaulty implements embed.Host.
-func (h HostView) NodeFaulty(u int) bool { return h.State.Nodes.Has(u) }
-
-// EdgeFaulty implements embed.Host.
-func (h HostView) EdgeFaulty(u, v int) bool { return h.State.Edges.EdgeFaulty(u, v) }

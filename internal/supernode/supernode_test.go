@@ -269,19 +269,3 @@ func TestEmbedDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestHostView(t *testing.T) {
-	g := mustGraph(t, testParams(0, 8))
-	fs := &FaultState{Nodes: fault.NewSet(g.NumNodes()), Edges: fault.NewOracle(1, 0)}
-	fs.Nodes.Add(42)
-	h := HostView{G: g, State: fs}
-	if !h.NodeFaulty(42) || h.NodeFaulty(41) {
-		t.Error("NodeFaulty wrong")
-	}
-	if h.EdgeFaulty(0, 1) {
-		t.Error("q=0 host has no edge faults")
-	}
-	if h.NumNodes() != g.NumNodes() {
-		t.Error("NumNodes wrong")
-	}
-}

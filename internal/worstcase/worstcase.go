@@ -16,10 +16,10 @@
 // passes at most k_i / (b_i + 1) <= k_{i+1} faults to the next, and the last
 // stage pigeonholes into an empty class.
 //
-// Divisibility refinement (DESIGN.md, refinement 4): the residue-class
-// argument needs (b_i + 1) | m for every i and b_d | (m - n); m is grown
-// minimally above n + b^{2^d} to satisfy both (a CRT search; the classes
-// are pairwise coprime to b so a solution always exists nearby).
+// Divisibility refinement: the residue-class argument needs (b_i + 1) | m
+// for every i and b_d | (m - n); m is grown minimally above n + b^{2^d} to
+// satisfy both (a CRT search; the classes are pairwise coprime to b so a
+// solution always exists nearby).
 package worstcase
 
 import (
@@ -35,8 +35,8 @@ import (
 // Params fixes an instance of D^d_{n,k}. N is the minimum guest side; the
 // paper's divisibility round-offs are resolved by letting the actual side
 // Side() land at the nearest value >= N compatible with the residue-class
-// structure (see DESIGN.md, refinement 4). The overshoot is bounded by
-// lcm(b_i+1) + b_d, i.e. o(k^{2^d/(2^d-1)}).
+// structure (the divisibility refinement of the package comment). The
+// overshoot is bounded by lcm(b_i+1) + b_d, i.e. o(k^{2^d/(2^d-1)}).
 type Params struct {
 	D int // dimension >= 1
 	N int // minimum guest torus side, >= 3
@@ -337,50 +337,18 @@ func (g *Graph) Extract(mk *Masking) (*embed.Embedding, error) {
 	return e, nil
 }
 
-// HostView adapts a faulty D^d_{n,k} to embed.Host, including edge faults.
-type HostView struct {
-	G          *Graph
-	NodeFaults *fault.Set
-	EdgeFaults map[[2]int]bool // canonical key: min(u,v), max(u,v)
-}
-
-// NumNodes implements embed.Host.
-func (h HostView) NumNodes() int { return h.G.NumNodes() }
-
-// Adjacent implements embed.Host.
-func (h HostView) Adjacent(u, v int) bool { return h.G.Adjacent(u, v) }
-
-// NodeFaulty implements embed.Host.
-func (h HostView) NodeFaulty(u int) bool { return h.NodeFaults.Has(u) }
-
-// EdgeFaulty implements embed.Host.
-func (h HostView) EdgeFaulty(u, v int) bool {
-	if h.EdgeFaults == nil {
-		return false
-	}
-	if u > v {
-		u, v = v, u
-	}
-	return h.EdgeFaults[[2]int{u, v}]
-}
-
-// EdgeKey canonicalizes an edge for HostView.EdgeFaults.
-func EdgeKey(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int{u, v}
-}
-
 // Tolerate runs the full Theorem 3 pipeline: edge faults are charged to an
 // endpoint (as in the paper's proof), the cascade masks everything, and the
-// resulting embedding is verified against both node and edge faults.
+// resulting embedding is verified against both node and edge faults. The
+// charged endpoint is fault.ChargedEndpoint, the smaller index, so the
+// embedding depends on the fault sets alone, not on the order in which an
+// edge's endpoints are listed.
 func (g *Graph) Tolerate(nodeFaults *fault.Set, edgeFaults [][2]int) (*embed.Embedding, *Masking, error) {
 	effective := nodeFaults.Clone()
-	edgeMap := make(map[[2]int]bool, len(edgeFaults))
+	edges := fault.NewEdgeSet()
 	for _, e := range edgeFaults {
-		edgeMap[EdgeKey(e[0], e[1])] = true
-		effective.Add(e[0]) // ascribe the edge fault to one endpoint
+		edges.Add(e[0], e[1])
+		effective.Add(fault.ChargedEndpoint(e[0], e[1]))
 	}
 	mk, err := g.Mask(effective)
 	if err != nil {
@@ -392,7 +360,7 @@ func (g *Graph) Tolerate(nodeFaults *fault.Set, edgeFaults [][2]int) (*embed.Emb
 	}
 	// Verifying against the effective set is strictly stronger than against
 	// the original node faults (effective is a superset).
-	if err := emb.Verify(HostView{G: g, NodeFaults: effective, EdgeFaults: edgeMap}); err != nil {
+	if err := emb.Verify(g, effective, edges.Has); err != nil {
 		return nil, nil, err
 	}
 	return emb, mk, nil

@@ -319,15 +319,3 @@ func quickCheck(f func(uint64, uint8) bool, n int) error {
 type errProperty int
 
 func (e errProperty) Error() string { return "property failed" }
-
-func TestHostViewEdgeFaults(t *testing.T) {
-	g := mustGraph(t, Params{D: 2, N: 20, K: 4})
-	h := HostView{G: g, NodeFaults: fault.NewSet(g.NumNodes()),
-		EdgeFaults: map[[2]int]bool{EdgeKey(5, 3): true}}
-	if !h.EdgeFaulty(3, 5) || !h.EdgeFaulty(5, 3) {
-		t.Error("EdgeFaulty not symmetric")
-	}
-	if h.EdgeFaulty(3, 6) {
-		t.Error("spurious edge fault")
-	}
-}

@@ -2,7 +2,7 @@
 # End-to-end smoke test of ftnetd: start the daemon, report faults over
 # the wire, fetch the committed embedding, snapshot to disk, restart
 # from the snapshot, and demand a bit-identical embedding response from
-# the restored daemon; an asynchronous report must be committed by the
+# the restored daemon; an asynchronous repair must be committed by the
 # flush timer. A final chaos leg restarts the daemon with fault
 # injection (-chaos: latency + 5xx bursts) and proves the SDK-based
 # client still converges, with the injection and error-code counters
@@ -128,14 +128,16 @@ if ! cmp -s "$WORK/emb_head.json" "$WORK/delta_decoded.json"; then
   exit 1
 fi
 
-echo "== async report: the flush timer evaluates a ?wait=0 batch =="
-# Re-reporting a committed fault keeps the evaluation tolerated, whatever
-# the fault geometry, so the default 250 ms flush timer must commit a
-# new generation.
+echo "== async repair: the flush timer evaluates a ?wait=0 batch =="
+# Repairing 41414 returns the topology to the fault set committed at
+# GEN_MID, so the evaluation is tolerated whatever the fault geometry,
+# and the default 250 ms flush timer must commit a new generation. The
+# batch changes the fault set, so the generation rises even if a batch
+# that changes nothing stops publishing one.
 GEN_HEAD="$(sed -n 's/.*"generation":\([0-9]*\).*/\1/p' "$WORK/emb_head.json")"
-STATUS="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/faults?wait=0" -d '{"nodes":[41414]}' || true)"
+STATUS="$(curl -sS -o /dev/null -w '%{http_code}' -X DELETE "$BASE/faults?wait=0" -d '{"nodes":[41414]}' || true)"
 if [ "$STATUS" != "202" ]; then
-  echo "async re-report returned $STATUS, want 202" >&2
+  echo "async repair returned $STATUS, want 202" >&2
   exit 1
 fi
 GEN_NOW="$GEN_HEAD"
@@ -145,7 +147,7 @@ for i in $(seq 1 50); do
   sleep 0.1
 done
 if [ "$GEN_NOW" -le "$GEN_HEAD" ]; then
-  echo "async report not evaluated within 5 s: generation $GEN_NOW, was $GEN_HEAD" >&2
+  echo "async repair not evaluated within 5 s: generation $GEN_NOW, was $GEN_HEAD" >&2
   exit 1
 fi
 
