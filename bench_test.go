@@ -112,7 +112,7 @@ func BenchmarkSurvivalTrialB2(b *testing.B) {
 func BenchmarkSurvivalTrialScratchB2(b *testing.B) {
 	g := benchGraphB2(b)
 	p := g.P.TheoremFailureProb()
-	sc := core.NewScratch(0)
+	sc := core.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		faults := sc.Faults(g.NumNodes())
@@ -129,7 +129,7 @@ func BenchmarkSurvivalTrialScratchB2(b *testing.B) {
 func BenchmarkSurvivalTrialScratchDenseB2(b *testing.B) {
 	g := benchGraphB2(b)
 	p := g.P.TheoremFailureProb()
-	sc := core.NewScratch(0)
+	sc := core.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		faults := sc.Faults(g.NumNodes())
@@ -165,7 +165,7 @@ func BenchmarkSurvivalParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			_, err := parallel.Run(b.N, 12345, parallel.Options{
 				Workers:    workers,
-				NewScratch: func() any { return core.NewScratch(1) },
+				NewScratch: func() any { return core.NewScratch() },
 			}, trial)
 			if err != nil {
 				b.Fatal(err)
@@ -224,7 +224,7 @@ func churnSteadyState(b *testing.B, g *core.Graph, stationary float64) (*churn.G
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := core.NewScratch(1)
+	sc := core.NewScratch()
 	ses := g.NewSession(sc, core.ExtractOptions{})
 	stream := rng.NewPCG(4242, 1)
 	ch := fault.NewCharger(g.NumNodes())
@@ -357,7 +357,7 @@ func edgeChurnSteadyState(b *testing.B, g *core.Graph, scale float64) (*churn.Ge
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := core.NewScratch(1)
+	sc := core.NewScratch()
 	ses := g.NewSession(sc, core.ExtractOptions{})
 	stream := rng.NewPCG(4242, 3)
 	ch := fault.NewCharger(g.NumNodes())
@@ -620,7 +620,7 @@ func BenchmarkChurnSessionRearmed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := core.NewScratch(1)
+	sc := core.NewScratch()
 	ses := g.NewSession(sc, core.ExtractOptions{})
 	stream := rng.NewPCG(4242, 1)
 	ch := fault.NewCharger(g.NumNodes())

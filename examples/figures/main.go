@@ -48,27 +48,10 @@ func main() {
 	fmt.Println()
 	fmt.Println("Figure 2 - obtaining a row from the unmasked part (paper p.374):")
 	fmt.Println("the row runs horizontally and takes a +-b diagonal jump wherever a band blocks it")
-	guestRow := jumpingRow(g, res, colLo, 72)
+	guestRow := viz.JumpingRow(g, res.Embedding, colLo, 72)
 	fig2, err := viz.RowTrace(g, res.Bands, faults, res.Embedding, guestRow, colLo, 72, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(fig2)
-}
-
-// jumpingRow finds a guest row whose host image actually crosses a band
-// within the rendered window (its host rows vary across columns).
-func jumpingRow(g *core.Graph, res *core.Result, colLo, width int) int {
-	numCols := g.NumCols
-	n := g.P.N()
-	for row := 0; row < n; row++ {
-		first := res.Embedding.Map[row*numCols+colLo%n] / numCols
-		for dc := 1; dc < width; dc++ {
-			col := (colLo + dc) % n
-			if res.Embedding.Map[row*numCols+col]/numCols != first {
-				return row
-			}
-		}
-	}
-	return 0
 }

@@ -1,7 +1,6 @@
 package ftnet
 
 import (
-	"errors"
 	"fmt"
 
 	"ftnet/internal/core"
@@ -123,13 +122,13 @@ func (e *Embedding) Mesh() (*Embedding, error) {
 // before a retry can succeed).
 var ErrNotTolerated error = &fterr.E{Code: fterr.NotTolerated, Op: "ftnet", Msg: "fault pattern not tolerated"}
 
+// classify marks a rejection with ErrNotTolerated and keeps its typed
+// cause (a *core.UnhealthyError, a worstcase budget error) on the chain
+// for errors.As. Every other error, a bug among them, passes through
+// unwrapped.
 func classify(err error) error {
-	if err == nil {
-		return nil
-	}
-	var ue *core.UnhealthyError
-	if errors.As(err, &ue) {
-		return fmt.Errorf("%w: %v", ErrNotTolerated, err)
+	if fterr.Is(err, fterr.NotTolerated) {
+		return fmt.Errorf("%w: %w", ErrNotTolerated, err)
 	}
 	return err
 }
@@ -270,7 +269,7 @@ type Session struct {
 func (t *RandomFaultTorus) NewSession() *Session {
 	return &Session{
 		t:       t,
-		ses:     t.g.NewSession(core.NewScratch(1), core.ExtractOptions{}),
+		ses:     t.g.NewSession(core.NewScratch(), core.ExtractOptions{}),
 		charger: fault.NewCharger(t.g.NumNodes()),
 	}
 }
@@ -551,10 +550,10 @@ func (t *WorstCaseTorus) NewFaults() *Faults {
 
 // Extract masks the node faults (plus optional faulty edges, each given as
 // a [2]int host pair) and extracts a verified fault-free n-torus. Any
-// fault set within Capacity() succeeds; the returned error otherwise
-// wraps ErrNotTolerated. A fault set built for another host, or an edge
-// pair out of range, a self-loop or not adjacent in the host, is a
-// CodeInvalid error instead.
+// fault set within Capacity() succeeds; one the cascade cannot mask
+// returns an error wrapping ErrNotTolerated. A fault set built for
+// another host, or an edge pair out of range, a self-loop or not
+// adjacent in the host, is a CodeInvalid error instead.
 func (t *WorstCaseTorus) Extract(f *Faults, faultyEdges [][2]int) (*Embedding, error) {
 	n := t.HostNodes()
 	if err := checkFaults(f, n); err != nil {
@@ -567,7 +566,7 @@ func (t *WorstCaseTorus) Extract(f *Faults, faultyEdges [][2]int) (*Embedding, e
 	}
 	emb, _, err := t.g.Tolerate(f.set, faultyEdges)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotTolerated, err)
+		return nil, classify(err)
 	}
 	return wrapEmbedding(emb, t.Side(), t.Dims()), nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"ftnet/internal/core"
 )
 
 func TestRandomFaultTorusRoundtrip(t *testing.T) {
@@ -173,6 +175,50 @@ func TestWorstCaseTorusOverBudget(t *testing.T) {
 	}
 	if _, err := host.Extract(faults, nil); !errors.Is(err, ErrNotTolerated) {
 		t.Fatalf("expected ErrNotTolerated, got %v", err)
+	}
+}
+
+// TestRejectionKeepsCause: a rejection from Extract, Reembed and
+// ReembedDelta wraps ErrNotTolerated and keeps the construction's typed
+// cause on the chain, and an over-budget worst-case set is coded
+// not_tolerated.
+func TestRejectionKeepsCause(t *testing.T) {
+	host, err := NewRandomFaultTorus(2, 64, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := host.NewFaults()
+	ses := host.NewSession()
+	for v := 0; v < host.HostNodes(); v += 7 {
+		faults.Add(v)
+		ses.AddFaults(v)
+	}
+	_, extractErr := host.Extract(faults)
+	_, reembedErr := ses.Reembed()
+	_, _, deltaErr := ses.ReembedDelta()
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{"Extract", extractErr}, {"Reembed", reembedErr}, {"ReembedDelta", deltaErr}} {
+		if !errors.Is(c.err, ErrNotTolerated) {
+			t.Errorf("%s: err = %v, want ErrNotTolerated", c.name, c.err)
+		}
+		if !errors.As(c.err, new(*core.UnhealthyError)) {
+			t.Errorf("%s: err = %v, want a *core.UnhealthyError on the chain", c.name, c.err)
+		}
+	}
+
+	wc, err := NewWorstCaseTorus(2, 60, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := wc.NewFaults()
+	for v := 0; v < wc.HostNodes(); v += 3 {
+		over.Add(v)
+	}
+	_, err = wc.Extract(over, nil)
+	if CodeOf(err) != CodeNotTolerated || !errors.Is(err, ErrNotTolerated) {
+		t.Errorf("over-budget worst-case Extract: err = %v (code %q), want ErrNotTolerated", err, CodeOf(err))
 	}
 }
 

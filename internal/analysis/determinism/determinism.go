@@ -14,6 +14,9 @@
 //     no appends to slices that are not subsequently sorted, no float
 //     or string accumulation (those operations do not commute), and no
 //     order-dependent writes (last-writer-wins on a loop variable).
+//   - go statements are forbidden outside internal/parallel: the trial
+//     pool is the engine's single layer of parallelism, so a trial never
+//     fans out inside a pool that already fills the CPUs.
 package determinism
 
 import (
@@ -43,10 +46,11 @@ var EnginePackages = []string{
 // engine packages; the golden harness calls Run directly and may pass
 // "".
 func New(modulePath string) *analysis.Analyzer {
+	pool := modulePath + "/internal/parallel"
 	a := &analysis.Analyzer{
 		Name: "determinism",
-		Doc:  "forbid wall-clock/math-rand inputs and map-iteration-order leaks in engine packages",
-		Run:  run,
+		Doc:  "forbid wall-clock/math-rand inputs, map-iteration-order leaks and goroutines outside the trial pool in engine packages",
+		Run:  func(pass *analysis.Pass) { run(pass, pass.Path == pool) },
 	}
 	if modulePath != "" {
 		a.Match = analysis.InDirs(modulePath, EnginePackages...)
@@ -54,7 +58,7 @@ func New(modulePath string) *analysis.Analyzer {
 	return a
 }
 
-func run(pass *analysis.Pass) {
+func run(pass *analysis.Pass, isPool bool) {
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
@@ -69,9 +73,14 @@ func run(pass *analysis.Pass) {
 		// time.Now/Since: resolved through Uses, so aliased imports and
 		// method-value references are caught alike.
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if fn, ok := pass.Info.Uses[id].(*types.Func); ok && analysis.IsPkgFunc(fn, "time", "Now", "Since") {
-					pass.Reportf(id.Pos(), "time.%s in an engine package: wall-clock input breaks bit-identical replay", fn.Name())
+			switch v := n.(type) {
+			case *ast.Ident:
+				if fn, ok := pass.Info.Uses[v].(*types.Func); ok && analysis.IsPkgFunc(fn, "time", "Now", "Since") {
+					pass.Reportf(v.Pos(), "time.%s in an engine package: wall-clock input breaks bit-identical replay", fn.Name())
+				}
+			case *ast.GoStmt:
+				if !isPool {
+					pass.Reportf(v.Pos(), "go statement in an engine package: the internal/parallel trial pool is the only goroutine source")
 				}
 			}
 			return true

@@ -58,3 +58,10 @@ func closureScope(m map[int]int) []int {
 	}
 	return out
 }
+
+// fanOut starts a goroutine: only the trial pool may.
+func fanOut() {
+	done := make(chan struct{})
+	go close(done) // want "go statement in an engine package"
+	<-done
+}

@@ -31,9 +31,8 @@ import (
 // from a template family and records, in a dirty-column bitset, every
 // column whose values may differ from the template. The locality-aware
 // Theorem 2 pipeline uses the dirty set to touch only the fault footprint
-// per Monte-Carlo trial. A tracked Set must be written from one goroutine
-// at a time; untracked Sets keep the old free-for-all contract (the dense
-// interpolation shards columns across workers).
+// per Monte-Carlo trial. A Set must be written from one goroutine at a
+// time.
 type Set struct {
 	M        int        // host cycle length (dimension 0)
 	Width    int        // band width b

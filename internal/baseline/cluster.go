@@ -24,6 +24,7 @@ import (
 
 	"ftnet/internal/embed"
 	"ftnet/internal/fault"
+	"ftnet/internal/fterr"
 	"ftnet/internal/grid"
 	"ftnet/internal/torus"
 )
@@ -81,7 +82,8 @@ func (c *ClusterTorus) Adjacent(u, v int) bool {
 
 // Embed picks one usable node per cluster greedily (same incremental rule
 // as Theorem 1's mapping f) and verifies the result. edges may be nil for
-// reliable links.
+// reliable links. A cluster with no usable node is an fterr.NotTolerated
+// error; any other error is a bug.
 func (c *ClusterTorus) Embed(nodeFaults *fault.Set, edges *fault.Oracle) (*embed.Embedding, error) {
 	guest, err := torus.NewUniform(torus.TorusKind, c.D, c.N)
 	if err != nil {
@@ -127,7 +129,7 @@ func (c *ClusterTorus) Embed(nodeFaults *fault.Set, edges *fault.Oracle) (*embed
 			}
 		}
 		if chosen < 0 {
-			return nil, fmt.Errorf("baseline: cluster %d has no usable node", cluster)
+			return nil, fterr.New(fterr.NotTolerated, "baseline", "cluster %d has no usable node", cluster)
 		}
 		e.Map[gi] = chosen
 	}

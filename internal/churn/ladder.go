@@ -8,6 +8,7 @@ import (
 	"ftnet/internal/fterr"
 	"ftnet/internal/parallel"
 	"ftnet/internal/rng"
+	"ftnet/internal/stats"
 )
 
 // Coupled repair-rate ladder: the availability-vs-repair-rate experiment
@@ -129,7 +130,7 @@ func SimulateRepairLadder(g *core.Graph, lambda float64, rhos []float64, trials 
 		TargetCI: opts.TargetCI,
 		NewScratch: func() any {
 			ls := &ladderState{
-				sc:      core.NewScratch(1),
+				sc:      core.NewScratch(),
 				sets:    make([]*fault.Set, m),
 				changed: make([]bool, m),
 				lives:   make([]life, m),
@@ -218,19 +219,19 @@ func ladderTrial(g *core.Graph, ls *ladderState, stream *rng.PCG, lambda float64
 			case cnt == prevCnt:
 				upNow = prevUp
 			default:
-				var err error
-				upNow, err = evalClass(g.Tolerates(ls.sets[r], ls.sc))
+				state, err := stats.Classify(g.Tolerates(ls.sets[r], ls.sc))
 				if err != nil {
 					return err
 				}
+				upNow = state == stats.Success
 				if verify {
 					_, err := g.ContainTorus(ls.sets[r], core.ExtractOptions{Scratch: ls.sc})
-					full, err := evalClass(err)
+					full, err := stats.Classify(err)
 					if err != nil {
 						return err
 					}
-					if full != upNow {
-						return fterr.New(fterr.Internal, "churn.ladder", "placement probe says up=%v but the full pipeline says up=%v on rung %d (%d faults)", upNow, full, r, cnt)
+					if full != state {
+						return fterr.New(fterr.Internal, "churn.ladder", "placement probe says up=%v but the full pipeline says up=%v on rung %d (%d faults)", upNow, full == stats.Success, r, cnt)
 					}
 				}
 			}

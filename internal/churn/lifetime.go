@@ -1,13 +1,12 @@
 package churn
 
 import (
-	"errors"
-
 	"ftnet/internal/core"
 	"ftnet/internal/fault"
 	"ftnet/internal/fterr"
 	"ftnet/internal/parallel"
 	"ftnet/internal/rng"
+	"ftnet/internal/stats"
 )
 
 // Metric indexes the components of a lifetime trial's outcome vector
@@ -140,7 +139,7 @@ func Simulate(g *core.Graph, proc Process, trials int, seed uint64, opts Options
 		Workers:  opts.Workers,
 		TargetCI: opts.TargetCI,
 		NewScratch: func() any {
-			sc := core.NewScratch(1)
+			sc := core.NewScratch()
 			gen, err := NewGeneratorHost(proc, g)
 			if err != nil {
 				// Validate above makes this unreachable; keep the trial
@@ -230,45 +229,32 @@ func lifetimeTrial(g *core.Graph, ts *trialState, stream *rng.PCG, opts Options,
 			ts.ses.NoteCleared(ev.EffCleared)
 		}
 		eff := ts.ch.Effective()
-		var upNow bool
+		var state stats.Outcome
 		if opts.Batch > 1 {
 			pending++
-			upNow, err = evalClass(g.Tolerates(eff, ts.sc))
-			if err == nil && upNow && pending >= opts.Batch {
+			state, err = stats.Classify(g.Tolerates(eff, ts.sc))
+			if err == nil && state == stats.Success && pending >= opts.Batch {
 				// Window boundary on a tolerated state. A down state defers
 				// the boundary: failed Evals do not commit, and the notes
 				// keep accumulating.
-				if err = ts.ses.Check(eff); errors.As(err, new(*core.UnhealthyError)) {
+				if err = ts.ses.Check(eff); fterr.Is(err, fterr.NotTolerated) {
 					return fterr.New(fterr.Internal, "churn.batch", "placement probe accepted a state the full pipeline rejects: %v", err)
 				}
 				pending = 0
 			}
 		} else {
-			upNow, err = evalClass(ts.ses.Check(eff))
+			state, err = stats.Classify(ts.ses.Check(eff))
 		}
 		if err != nil {
 			return err
 		}
-		l.event(ev.Time, upNow, ts.ch.Nodes().Count()+ts.ch.Edges().Count())
+		l.event(ev.Time, state == stats.Success, ts.ch.Nodes().Count()+ts.ch.Edges().Count())
 		if l.died && opts.StopAtDeath {
 			break
 		}
 	}
 	l.write(opts.Horizon, out)
 	return nil
-}
-
-// evalClass folds a pipeline outcome into up/down, passing bug-class
-// errors through.
-func evalClass(err error) (bool, error) {
-	if err == nil {
-		return true, nil
-	}
-	var ue *core.UnhealthyError
-	if errors.As(err, &ue) {
-		return false, nil
-	}
-	return false, err
 }
 
 // life accumulates one trial's lifetime metrics from its sequence of

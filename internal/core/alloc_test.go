@@ -14,7 +14,7 @@ import (
 // allocation snuck past one is still caught by the other.
 func TestHotPathAllocs(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	faults.Add(g.NumNodes() / 2)

@@ -23,7 +23,7 @@ import (
 // the previous trial left a footprint to restore.
 func TestEngineFaultFreeEvalIsFree(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	faults.Add(g.NodeIndex(300, 250))
@@ -55,7 +55,7 @@ func TestEngineFaultFreeEvalIsFree(t *testing.T) {
 // and re-verifies only columns inside its box footprint ±1 tile.
 func TestEngineLoneFaultStaysInFootprint(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	faults.Add(g.NodeIndex(300, 250))
@@ -104,7 +104,7 @@ func addNoted(g *Graph, ses *Session, faults *fault.Set, i, z int) {
 // would skip the new fault's whole footprint and leave the map stale.
 func TestEngineStampGenerationWraps(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	addNoted(g, ses, faults, 300, 250)
@@ -122,7 +122,7 @@ func TestEngineStampGenerationWraps(t *testing.T) {
 // no per-row stamps to wrap.
 func TestEngineRowStampGenerationWraps(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	addNoted(g, ses, faults, 300, 250)
@@ -153,7 +153,7 @@ func TestEngineRowStampGenerationWraps(t *testing.T) {
 // step rule and the winding count can fire.
 func TestEngineVerifyColumnRejects(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	faults.Add(g.NodeIndex(300, 250))
@@ -239,7 +239,7 @@ func TestEngineDenseCallLeavesSessionAlone(t *testing.T) {
 		return ses, faults, res
 	}
 
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses, faults, res := warm(sc)
 	kept := slices.Clone(res.Embedding.Map)
 	faults.Add(second)
@@ -252,7 +252,7 @@ func TestEngineDenseCallLeavesSessionAlone(t *testing.T) {
 	ses.NoteAdded([]int{second})
 	evalSessionBoth(t, g, ses, faults, "warm step after a dense call")
 
-	ref, refFaults, _ := warm(NewScratch(1))
+	ref, refFaults, _ := warm(NewScratch())
 	refFaults.Add(second)
 	ref.NoteAdded([]int{second})
 	if _, err := ref.Eval(refFaults); err != nil {
@@ -272,7 +272,7 @@ func TestEngineDenseCallLeavesSessionAlone(t *testing.T) {
 // only the map-vs-vector sweep can see the corrupted entry.
 func TestEngineSyncCheckFires(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	faults.Add(g.NodeIndex(300, 250))
@@ -346,8 +346,8 @@ func TestEngineColumnNeighborTable(t *testing.T) {
 func TestEngineDeltaCandBounded(t *testing.T) {
 	g := mustGraph(t, testParams2DTight())
 	faults := fault.NewSet(g.NumNodes())
-	undrained := g.NewSession(NewScratch(1), ExtractOptions{})
-	drained := g.NewSession(NewScratch(1), ExtractOptions{})
+	undrained := g.NewSession(NewScratch(), ExtractOptions{})
+	drained := g.NewSession(NewScratch(), ExtractOptions{})
 	u := []int{g.NodeIndex(g.P.M()/2, g.P.N()/2)}
 	steps := 20000
 	if testing.Short() {
@@ -414,7 +414,7 @@ func TestEngineChurnColsBounded(t *testing.T) {
 	}
 
 	faults := fault.NewSet(g.NumNodes())
-	rejected := g.NewSession(NewScratch(1), ExtractOptions{})
+	rejected := g.NewSession(NewScratch(), ExtractOptions{})
 	if err := rejected.Check(faults); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestEngineChurnColsBounded(t *testing.T) {
 	evalSessionBoth(t, g, rejected, faults, "healed after rejected steps")
 
 	faults = fault.NewSet(g.NumNodes())
-	dense := g.NewSession(NewScratch(1), ExtractOptions{Dense: true})
+	dense := g.NewSession(NewScratch(), ExtractOptions{Dense: true})
 	for step := 0; step < 300; step++ {
 		toggle(dense, faults)
 		if err := dense.Check(faults); err != nil {
@@ -461,7 +461,7 @@ func TestEngineChurnColsBounded(t *testing.T) {
 // run builds the map bit-identical to the dense pipeline.
 func TestEngineCheckHoldsNoMap(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := sc.Faults(g.NumNodes())
 	for i, u := range []int{g.NodeIndex(300, 250), g.NodeIndex(60, 130), g.NodeIndex(400, 20)} {
@@ -526,7 +526,7 @@ func TestSessionAblatedGraphMatchesDense(t *testing.T) {
 			if errors.As(denseErr, &ue) {
 				t.Fatalf("dense: an ablated graph reported an unhealthy fault set: %v", denseErr)
 			}
-			ses := g.NewSession(NewScratch(1), ExtractOptions{})
+			ses := g.NewSession(NewScratch(), ExtractOptions{})
 			_, evalErr := ses.Eval(faults)
 			ses.Reset()
 			checkErr := ses.Check(faults)

@@ -59,7 +59,7 @@ func runBoth(t *testing.T, g *Graph, faults *fault.Set, scFast *Scratch, label s
 
 func TestEquivalenceRandom2D(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	pThm := g.P.TheoremFailureProb()
 	for _, rate := range []float64{pThm, 10 * pThm, 1e-4} {
 		for seed := uint64(0); seed < 20; seed++ {
@@ -72,7 +72,7 @@ func TestEquivalenceRandom2D(t *testing.T) {
 
 func TestEquivalenceCrafted2D(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	tile := g.P.Tile()
 	n := g.P.N()
 	m := g.P.M()
@@ -116,7 +116,7 @@ func TestEquivalenceCrafted2D(t *testing.T) {
 // (clean) trial must restore the template.
 func TestEquivalenceAnchorRotation(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	rotations := 0
 	for _, row := range []int{15, 20, 0, 34} {
 		faults := fault.NewSet(g.NumNodes())
@@ -141,7 +141,7 @@ func TestEquivalenceAnchorRotation(t *testing.T) {
 func TestScratchReuseAcrossGraphs(t *testing.T) {
 	big := mustGraph(t, Params{D: 2, W: 6, Pitch: 18, Scale: 2})
 	small := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	// Fault in the last slab and last column tile of the big graph, so
 	// the recorded pinned keys sit near the top of the big table.
 	faults := fault.NewSet(big.NumNodes())
@@ -161,7 +161,7 @@ func TestEquivalenceRandom3D(t *testing.T) {
 		t.Skip("9.4M-node instance")
 	}
 	g := mustGraph(t, Params{D: 3, W: 4, Pitch: 16, Scale: 1})
-	sc := NewScratch(1)
+	sc := NewScratch()
 	r := rng.New(77)
 	for trial := 0; trial < 3; trial++ {
 		faults := fault.NewSet(g.NumNodes())
@@ -202,7 +202,7 @@ func TestParallelDeterminismEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rep, err := parallel.Run(trials, rootSeed, parallel.Options{
 			Workers:    workers,
-			NewScratch: func() any { return NewScratch(1) },
+			NewScratch: func() any { return NewScratch() },
 		}, trial)
 		if err != nil {
 			t.Fatal(err)

@@ -23,9 +23,8 @@ type ExtractOptions struct {
 	// tests assert the two produce bit-identical results.
 	Dense bool
 	// Scratch, if non-nil, supplies reusable buffers for placement,
-	// extraction and verification, and bounds the pipeline's inner
-	// parallelism (see Scratch). The returned Result then aliases the
-	// scratch and is only valid until its next use.
+	// extraction and verification (see Scratch). The returned Result
+	// then aliases the scratch and is only valid until its next use.
 	Scratch *Scratch
 }
 
@@ -52,7 +51,7 @@ func (g *Graph) Extract(bs *bands.Set, opts ExtractOptions) (*embed.Embedding, e
 
 	sc := opts.Scratch
 	if sc == nil {
-		sc = NewScratch(0)
+		sc = NewScratch()
 	}
 	// Unmasked rows per column, in cyclic order anchored above band 0.
 	// With a scratch, the per-column row slices live in one flat backing
@@ -181,7 +180,7 @@ func (g *Graph) ContainTorus(faults *fault.Set, opts ExtractOptions) (*Result, e
 // scratch's when none is set.
 func (g *Graph) containDense(faults *fault.Set, opts ExtractOptions) (*Result, error) {
 	if opts.Scratch == nil {
-		opts.Scratch = NewScratch(0)
+		opts.Scratch = NewScratch()
 	}
 	bs, rep, err := g.placeBands(faults, opts.Scratch)
 	if err != nil {

@@ -33,7 +33,7 @@ func FuzzSession(f *testing.F) {
 		if len(raw) > 60 {
 			raw = raw[:60] // a handful of ops is enough to hit every transition
 		}
-		sc := NewScratch(1)
+		sc := NewScratch()
 		ses := g.NewSession(sc, ExtractOptions{})
 		faults := fault.NewSet(g.NumNodes())
 		delta := make([]int, 0, 1)

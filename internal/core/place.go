@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"ftnet/internal/bands"
 	"ftnet/internal/fault"
@@ -68,7 +66,7 @@ type faultBox struct {
 // passes bands.Set.Validate and masks every fault; if the fault pattern is
 // too dense or too clustered it returns an *UnhealthyError instead.
 func (g *Graph) PlaceBands(faults *fault.Set) (*bands.Set, *PlaceReport, error) {
-	return g.placeBands(faults, NewScratch(0))
+	return g.placeBands(faults, NewScratch())
 }
 
 // placeBands is the dense placement: buildBoxes, then the whole-host
@@ -606,9 +604,9 @@ func (g *Graph) buildPinned(boxes []*faultBox, sc *Scratch, cornerShape grid.Sha
 // colEval evaluates the band bottoms of one (slab, column) pair at a
 // time: corner lookups in the pinned table, multilinear blending between
 // pinned and default corners (Lemmas 9-11), monotone half-up rounding.
-// Both the dense sharded loop and the delta engine drive the same
-// evaluator, so the two paths share every rounding-sensitive instruction
-// and stay bit-identical.
+// Both the dense loop and the delta engine drive the same evaluator, so
+// the two paths share every rounding-sensitive instruction and stay
+// bit-identical.
 type colEval struct {
 	t, d1, nc, per, numCorners, colTiles int
 	colShape                             grid.Shape
@@ -698,51 +696,25 @@ func (e *colEval) evalSlab(bs *bands.Set, slab, z int) {
 // interpolate builds the full band family densely: pinned constants over
 // box footprints, defaults elsewhere, multilinear blending in between
 // (Lemmas 9-11), rounded with the monotone half-up rule, evaluated for
-// every (slab, column) of the host. sc.Workers > 0 bounds the
-// column-sharding fan-out. The footprint-local alternative is the delta
-// engine's interpolateDelta (session.go).
+// every (slab, column) of the host. The footprint-local alternative is
+// the delta engine's interpolateDelta (session.go).
 func (g *Graph) interpolate(boxes []*faultBox, sc *Scratch) (*bands.Set, error) {
 	p := g.P
 	numSlabs := p.NumSlabs()
 	cornerShape := g.cornerShape
 
-	defaults := p.defaultOffsets()
 	pinned, err := g.buildPinned(boxes, sc, cornerShape)
 	if err != nil {
 		return nil, err
 	}
-
 	bs := bands.NewSet(p.M(), p.W, g.ColShape, p.K())
-	// Columns are independent, so shard the evaluation across workers.
-	// Each column writes disjoint band entries; results are deterministic
-	// because every value is a pure function of (band, column).
-	workers := runtime.GOMAXPROCS(0)
-	if sc.Workers > 0 {
-		workers = sc.Workers
+	ev := sc.colEvalBuf(g, p.defaultOffsets(), pinned, cornerShape)
+	for z := 0; z < g.NumCols; z++ {
+		ev.setColumn(z)
+		for slab := 0; slab < numSlabs; slab++ {
+			ev.evalSlab(bs, slab, z)
+		}
 	}
-	if workers > g.NumCols {
-		workers = g.NumCols
-	}
-	if len(boxes) == 0 || workers < 2 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * g.NumCols / workers
-		hi := (wk + 1) * g.NumCols / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ev := newColEval(g, defaults, pinned, cornerShape)
-			for z := lo; z < hi; z++ {
-				ev.setColumn(z)
-				for slab := 0; slab < numSlabs; slab++ {
-					ev.evalSlab(bs, slab, z)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return bs, nil
 }
 
@@ -754,8 +726,7 @@ func (g *Graph) interpolate(boxes []*faultBox, sc *Scratch) (*bands.Set, error) 
 // builds bands, extracts or verifies — those stages fail only on
 // bug-class invariant violations, so this cheap decision is exactly the
 // full pipeline's health classification (the batched churn goldens pin
-// the equivalence event by event). sc supplies placement buffers; nil
-// allocates fresh ones.
+// the equivalence event by event). sc supplies placement buffers.
 //
 // The classification is NOT monotone in the fault set: condition 2 can
 // reject a set and accept a superset, because an added fault can merge
@@ -764,9 +735,6 @@ func (g *Graph) interpolate(boxes []*faultBox, sc *Scratch) (*bands.Set, error) 
 // three/four-fault counterexample). Callers must not infer a subset's
 // status from a superset's, or vice versa.
 func (g *Graph) Tolerates(faults *fault.Set, sc *Scratch) error {
-	if sc == nil {
-		sc = NewScratch(1)
-	}
 	boxes, _, err := g.buildBoxes(faults, sc)
 	if err != nil {
 		return err

@@ -85,7 +85,7 @@ func TestInitialBoxesWrap(t *testing.T) {
 // tileBoxes runs initialBoxes on the faulty tiles the way buildBoxes
 // does: sorted and numbered in a scratch's tile table (numberTiles).
 func tileBoxes(tiles []int, shape grid.Shape) []*faultBox {
-	sc := NewScratch(1)
+	sc := NewScratch()
 	tiles = slices.Clone(tiles)
 	sc.tileSeen = make([]int32, shape.Size())
 	numberTiles(sc.tileSeen, tiles)
@@ -169,7 +169,7 @@ func initialBoxesRef(faultyTiles []int, tileShape grid.Shape, deltas [][]int) []
 // tile table is all-zero afterwards. One scratch serves every case, so an
 // entry left behind would also corrupt the cases after it.
 func TestInitialBoxesMatchesReference(t *testing.T) {
-	sc := NewScratch(1)
+	sc := NewScratch()
 	check := func(name string, tiles []int, shape grid.Shape) {
 		t.Helper()
 		tiles = slices.Clone(tiles)
@@ -280,7 +280,7 @@ func TestPigeonholeSegmentsCoverAndSpacing(t *testing.T) {
 			box.faultRows = append(box.faultRows, r)
 		}
 		sortInts(box.faultRows)
-		if err := g.pigeonholeSegments(box, NewScratch(1)); err != nil {
+		if err := g.pigeonholeSegments(box, NewScratch()); err != nil {
 			// The pigeonhole can legitimately fail for adversarial dense
 			// rows; the property below only applies to successes.
 			return strings.Contains(err.Error(), "unhealthy")
@@ -324,10 +324,10 @@ func TestPadBoxFillsEverySlab(t *testing.T) {
 	w := g.P.W
 	box := &faultBox{lo: []int{0, 0}, ext: []int{3, 1}}
 	box.faultRows = []int{5, 40, 90} // a few sparse faults
-	if err := g.pigeonholeSegments(box, NewScratch(1)); err != nil {
+	if err := g.pigeonholeSegments(box, NewScratch()); err != nil {
 		t.Fatal(err)
 	}
-	added, err := g.padBox(box, NewScratch(1))
+	added, err := g.padBox(box, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestPadBoxOverfullSlabUnhealthy(t *testing.T) {
 	for i := 0; i <= per; i++ {
 		box.segs = append(box.segs, i*(w+1))
 	}
-	if _, err := g.padBox(box, NewScratch(1)); err == nil {
+	if _, err := g.padBox(box, NewScratch()); err == nil {
 		t.Error("overfull slab not rejected")
 	}
 }
@@ -451,7 +451,7 @@ func BenchmarkPadBox(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := NewScratch(1)
+	sc := NewScratch()
 	base := &faultBox{lo: []int{0, 0}, ext: []int{3, 1}}
 	base.faultRows = []int{5, 40, 75, 100}
 	if err := g.pigeonholeSegments(base, sc); err != nil {
@@ -481,7 +481,7 @@ func TestToleratesNotMonotone(t *testing.T) {
 	g := mustGraph(t, Params{D: 2, W: 4, Pitch: 16, Scale: 1})
 	smaller := []int{1278, 20426, 21974}
 	larger := []int{1278, 20426, 21974, 20648}
-	sc := NewScratch(1)
+	sc := NewScratch()
 
 	class := func(idxs []int) bool {
 		faults := fault.NewSet(g.NumNodes())

@@ -26,7 +26,7 @@ func TestSessionRearmAfterRotation(t *testing.T) {
 		t.Fatal("no single-node anchor-rotating fault on the test host; pick a different host")
 	}
 
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := fault.NewSet(g.NumNodes())
 
@@ -111,7 +111,7 @@ func TestSessionRotationWhileWarm(t *testing.T) {
 	if rot < 0 {
 		t.Fatal("no single-node anchor-rotating fault on the test host")
 	}
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := fault.NewSet(g.NumNodes())
 
@@ -155,7 +155,7 @@ func TestRearmInterleavingEquivalence(t *testing.T) {
 	if rot < 0 {
 		t.Fatal("no single-node anchor-rotating fault on the test host")
 	}
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	pThm := g.P.TheoremFailureProb()
 	var buf []int

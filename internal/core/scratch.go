@@ -28,14 +28,6 @@ import (
 // that must outlive the trial. A Scratch must never be shared by
 // concurrently running calls.
 type Scratch struct {
-	// Workers bounds the *inner* parallelism of the dense band
-	// interpolation. Trials dispatched by the parallel engine should set
-	// it to 1: the pool already saturates the CPUs, and per-trial
-	// goroutine fan-out would only add oversubscription. 0 means
-	// GOMAXPROCS (the default serial-caller behavior). The delta engine
-	// is always serial (its work is footprint-sized).
-	Workers int
-
 	faults *fault.Set
 	ses    *Session // the session ContainTorus drives (sessionFor)
 
@@ -73,9 +65,10 @@ type Scratch struct {
 	movedBuf []movedBand // transferFast's moved-band list
 }
 
-// NewScratch returns a Scratch whose dense interpolation stage uses at
-// most workers goroutines (0 = GOMAXPROCS).
-func NewScratch(workers int) *Scratch { return &Scratch{Workers: workers} }
+// NewScratch returns an empty Scratch; every buffer grows on first use.
+// Its arguments are ignored: they keep compiling the callers written
+// against the former worker-count parameter.
+func NewScratch(...int) *Scratch { return new(Scratch) }
 
 // sessionFor returns the scratch's own session on g, replacing it when
 // the scratch moves to another graph.

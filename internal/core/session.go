@@ -851,7 +851,7 @@ func (s *Session) verifyIncremental(faults *fault.Set, tpl *template) error {
 // benchmarks that need a deterministic rotating fault; returns -1 when
 // no single node rotates this host.
 func (g *Graph) FindAnchorRotatingFault() int {
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	for u := 0; u < g.NumNodes(); u++ {
 		faults := sc.Faults(g.NumNodes())

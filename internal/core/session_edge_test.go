@@ -95,8 +95,8 @@ func evalSessionCharged(t *testing.T, g *Graph, ses *Session, c *fault.Charger, 
 // charged set and edge-fault-free under independent verification.
 func TestSessionEdgeChargingEquivalence2D(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
-	scDense := NewScratch(0)
+	sc := NewScratch()
+	scDense := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	var nbuf, eff []int
 	for seed := uint64(0); seed < 12; seed++ {
@@ -119,8 +119,8 @@ func TestSessionEdgeChargingEquivalence3D(t *testing.T) {
 		t.Skip("9.4M-node instance")
 	}
 	g := mustGraph(t, Params{D: 3, W: 4, Pitch: 16, Scale: 1})
-	sc := NewScratch(1)
-	scDense := NewScratch(0)
+	sc := NewScratch()
+	scDense := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	var nbuf, eff []int
 	for seed := uint64(0); seed < 6; seed++ {
@@ -157,7 +157,7 @@ func TestSessionEdgeOrderIndependence(t *testing.T) {
 	nodes := []int{g.NodeIndex(40, 40), g.NodeIndex(300, 120)}
 
 	run := func(order []fault.Edge, flip bool) []int {
-		sc := NewScratch(1)
+		sc := NewScratch()
 		ses := g.NewSession(sc, ExtractOptions{})
 		c := fault.NewCharger(g.NumNodes())
 		var eff []int

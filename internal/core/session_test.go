@@ -69,7 +69,7 @@ func churnStep(r rng.Source, faults *fault.Set, ses *Session, addRate float64, b
 // checked bit-identical against the dense pipeline.
 func TestSessionInterleavingEquivalence2D(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	pThm := g.P.TheoremFailureProb()
 	var buf []int
@@ -96,8 +96,8 @@ func TestSessionInterleavingEquivalence3D(t *testing.T) {
 		t.Skip("9.4M-node instance")
 	}
 	g := mustGraph(t, Params{D: 3, W: 4, Pitch: 16, Scale: 1})
-	sc := NewScratch(1)
-	scDense := NewScratch(0)
+	sc := NewScratch()
+	scDense := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	var buf, cleared []int
 	for seed := uint64(0); seed < 20; seed++ {
@@ -148,7 +148,7 @@ func sessionDenseStep(t *testing.T, g *Graph, ses *Session, faults *fault.Set, s
 // incremental (warm diff, not a cold rebuild).
 func TestSessionHealToTemplate(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := fault.NewSet(g.NumNodes())
 	nodes := []int{g.NodeIndex(100, 100), g.NodeIndex(400, 300), g.NodeIndex(250, 200)}
@@ -186,7 +186,7 @@ func TestSessionHealToTemplate(t *testing.T) {
 // by diffing against that retained state.
 func TestSessionUnhealthyRecovery(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := fault.NewSet(g.NumNodes())
 
@@ -238,7 +238,7 @@ func TestSessionUnhealthyRecovery(t *testing.T) {
 // exactly its own fault set.
 func TestSessionChurnSurvivesFailedEval(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	faults := fault.NewSet(g.NumNodes())
 
@@ -311,8 +311,8 @@ func checkSessionClass(t *testing.T, g *Graph, ses *Session, faults *fault.Set, 
 // catches up on every Check since the last one — must be bit-identical
 // to the dense pipeline.
 func checkEvalInterleaving(t *testing.T, g *Graph, seeds, steps, every int, stream uint64) {
-	sc := NewScratch(1)
-	scDense := NewScratch(0)
+	sc := NewScratch()
+	scDense := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	pThm := g.P.TheoremFailureProb()
 	var buf []int

@@ -29,7 +29,7 @@ func sweepRates(g *Graph) []float64 {
 func TestSweepLadderEquivalence(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	var added []int
 	for seed := uint64(0); seed < 12; seed++ {
@@ -58,7 +58,7 @@ func TestSweepLadderEquivalence(t *testing.T) {
 func TestSweepSkippedRungEquivalence(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	var added []int
 	for seed := uint64(100); seed < 106; seed++ {
@@ -122,7 +122,7 @@ func TestSweepCraftedTransitions(t *testing.T) {
 			{g.NodeIndex(5*tile, 40)},
 		}},
 	}
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	for _, c := range cases {
 		ses.Reset()
@@ -144,7 +144,7 @@ func TestSweepCraftedTransitions(t *testing.T) {
 // bisection would generate.
 func TestSweepNonMonotone(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	ses.Reset()
 	x := g.NodeIndex(100, 100)
@@ -175,7 +175,7 @@ func TestSweepNonMonotone(t *testing.T) {
 func TestSweepTrialReuseAcrossTrials(t *testing.T) {
 	g := mustGraph(t, testParams2D())
 	rates := sweepRates(g)
-	sc := NewScratch(1)
+	sc := NewScratch()
 	ses := g.NewSession(sc, ExtractOptions{})
 	var added []int
 	for trial := uint64(0); trial < 6; trial++ {
@@ -210,7 +210,7 @@ func TestSweepTrialReuseAcrossTrials(t *testing.T) {
 // tile.
 func TestSweepFullFootprint(t *testing.T) {
 	g := mustGraph(t, testParams2D())
-	sc := NewScratch(1)
+	sc := NewScratch()
 	full := 0
 	for seed := uint64(0); seed < 10; seed++ {
 		faults := fault.NewSet(g.NumNodes())

@@ -5,13 +5,12 @@ import (
 
 	"ftnet/internal/rng"
 	"ftnet/internal/stats"
-	"ftnet/internal/sweep"
 )
 
-// runA3Impl sweeps the supernode size h at fixed p and shows the sharp
+// runA3 sweeps the supernode size h at fixed p and shows the sharp
 // Chernoff knee in survival probability that Theorem 1's h = Theta(k^2)
 // choice sits above.
-func runA3Impl(cfg Config) error {
+func runA3(cfg Config) error {
 	const pNode = 0.25
 	trials := cfg.trials(8, 30)
 	hs := []int{4, 5, 6, 8, 10, 12, 16, 20}
@@ -28,7 +27,7 @@ func runA3Impl(cfg Config) error {
 			func(trial int, stream *rng.PCG, _ any) (stats.Outcome, error) {
 				fs := g.NewFaultState(stream.Uint64(), pNode, stream)
 				_, _, err := g.Embed(fs)
-				return sweep.Classify(err)
+				return stats.Classify(err)
 			})
 		if err != nil {
 			return err

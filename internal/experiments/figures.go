@@ -54,29 +54,12 @@ func runE12(cfg Config) error {
 	}
 	fmt.Fprint(cfg.Out, fig1)
 	fmt.Fprintln(cfg.Out, "--- Figure 2: one extracted row crossing the bands ---")
-	fig2, err := viz.RowTrace(g, res.Bands, faults, res.Embedding, jumpingRow(g, res, colLo, 64), colLo, 64, 2)
+	fig2, err := viz.RowTrace(g, res.Bands, faults, res.Embedding, viz.JumpingRow(g, res.Embedding, colLo, 64), colLo, 64, 2)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(cfg.Out, fig2)
 	return nil
-}
-
-// jumpingRow picks a guest row whose host image crosses a band inside the
-// rendered window, so Figure 2 actually shows the diagonal jumps.
-func jumpingRow(g *core.Graph, res *core.Result, colLo, width int) int {
-	numCols := g.NumCols
-	n := g.P.N()
-	for row := 0; row < n; row++ {
-		first := res.Embedding.Map[row*numCols+colLo%n] / numCols
-		for dc := 1; dc < width; dc++ {
-			col := (colLo + dc) % n
-			if res.Embedding.Map[row*numCols+col]/numCols != first {
-				return row
-			}
-		}
-	}
-	return 0
 }
 
 func runA1(cfg Config) error {
@@ -116,8 +99,4 @@ func okString(ok bool) string {
 		return "succeeds"
 	}
 	return "fails (as predicted)"
-}
-
-func runA3(cfg Config) error {
-	return runA3Impl(cfg)
 }

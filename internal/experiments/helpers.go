@@ -1,17 +1,10 @@
 package experiments
 
 import (
-	"ftnet/internal/baseline"
 	"ftnet/internal/fault"
 	"ftnet/internal/rng"
 	"ftnet/internal/worstcase"
 )
-
-func allPatterns() []fault.Pattern { return fault.AllPatterns() }
-
-func newCluster(side, g int) (*baseline.ClusterTorus, error) {
-	return baseline.NewClusterTorus(2, side, g)
-}
 
 // adversarial places k faults on a worst-case host with the pattern's
 // class modulus tuned to attack the first pigeonhole stage.

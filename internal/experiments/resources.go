@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ftnet/internal/core"
+	"ftnet/internal/fault"
 	"ftnet/internal/rng"
 	"ftnet/internal/stats"
 	"ftnet/internal/supernode"
@@ -130,7 +131,7 @@ func runE7(cfg Config) error {
 		}
 		pats := 0
 		ok := 0
-		for _, pat := range allPatterns() {
+		for _, pat := range fault.AllPatterns() {
 			faults, err := adversarial(pat, g, g.P.Capacity(), r.Split(uint64(pats)))
 			if err != nil {
 				return err

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
+	"ftnet/internal/baseline"
 	"ftnet/internal/core"
 	"ftnet/internal/fault"
 	"ftnet/internal/rng"
@@ -115,7 +115,7 @@ func runE3(cfg Config) error {
 		return stats.Failure
 	}
 	rep, err := cfg.ladder(trials, len(rates)*slots, cfg.cellSeed("E3"),
-		func() any { return &e3Scratch{sc: core.NewScratch(1)} },
+		func() any { return &e3Scratch{sc: core.NewScratch()} },
 		func(trial int, stream *rng.PCG, scratch any, stopped []bool, out []stats.Outcome) error {
 			es := scratch.(*e3Scratch)
 			faults := es.sc.Faults(g.NumNodes())
@@ -143,7 +143,6 @@ func runE3(cfg Config) error {
 				out[base+1] = outcome(!h.Cond2OK)
 				out[base+2] = outcome(!h.Cond3OK)
 				out[base+3] = outcome(h.Healthy())
-				placed := false
 				var placeErr error
 				if cfg.Dense {
 					_, _, placeErr = g.PlaceBands(faults)
@@ -152,15 +151,9 @@ func runE3(cfg Config) error {
 					// runs only the stages that can reject the set.
 					placeErr = g.Tolerates(faults, es.sc)
 				}
-				if placeErr == nil {
-					placed = true
-				} else {
-					var ue *core.UnhealthyError
-					if !errors.As(placeErr, &ue) {
-						return placeErr
-					}
+				if out[base+4], err = stats.Classify(placeErr); err != nil {
+					return err
 				}
-				out[base+4] = outcome(placed)
 			}
 			return nil
 		})
@@ -224,15 +217,9 @@ func runE5(cfg Config) error {
 				sub := rng.NewPCG(tkey, uint64(i))
 				fs := graphs[i].NewFaultState(sub.Uint64(), sc.p, sub)
 				_, _, err := graphs[i].Embed(fs)
-				if err != nil {
-					var ue *core.UnhealthyError
-					if !errors.As(err, &ue) {
-						return err
-					}
-					out[i] = stats.Failure
-					continue
+				if out[i], err = stats.Classify(err); err != nil {
+					return err
 				}
-				out[i] = stats.Success
 			}
 			return nil
 		})
@@ -267,7 +254,7 @@ func runE6(cfg Config) error {
 				func(trial int, stream *rng.PCG, _ any) (stats.Outcome, error) {
 					fs := g.NewFaultState(stream.Uint64(), pNode, stream)
 					_, _, err := g.Embed(fs)
-					return sweep.Classify(err)
+					return stats.Classify(err)
 				})
 			if err != nil {
 				return 0, 0, err
@@ -281,7 +268,7 @@ func runE6(cfg Config) error {
 
 	findClusterG := func(side, trials int) (int, int, error) {
 		for g := 2; g <= 40; g++ {
-			ct, err := newCluster(side, g)
+			ct, err := baseline.NewClusterTorus(2, side, g)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -289,10 +276,8 @@ func runE6(cfg Config) error {
 				func(trial int, stream *rng.PCG, _ any) (stats.Outcome, error) {
 					faults := fault.NewSet(ct.NumNodes())
 					faults.Bernoulli(stream, pNode)
-					if _, err := ct.Embed(faults, nil); err != nil {
-						return stats.Failure, nil
-					}
-					return stats.Success, nil
+					_, err := ct.Embed(faults, nil)
+					return stats.Classify(err)
 				})
 			if err != nil {
 				return 0, 0, err

@@ -98,7 +98,7 @@ func TestParallelDeterminism(t *testing.T) {
 			// really use that many workers instead of clamping to the
 			// shard count.
 			rep, err := Run(24, 7, Options{Workers: workers, ShardSize: 1,
-				NewScratch: func() any { return core.NewScratch(1) }}, trial)
+				NewScratch: func() any { return core.NewScratch() }}, trial)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,6 +13,8 @@ import (
 	"io"
 	"math"
 	"text/tabwriter"
+
+	"ftnet/internal/fterr"
 )
 
 // Outcome classifies one Monte-Carlo trial.
@@ -25,6 +27,21 @@ const (
 	// an unhealthy fault pattern).
 	Failure
 )
+
+// Classify maps a pipeline error to a trial outcome: nil is a Success,
+// an fterr.NotTolerated error (the fault pattern exceeded what the
+// construction tolerates) a Failure, and any other error a Failure
+// returned with the error, since a trial error is a bug that aborts the
+// run.
+func Classify(err error) (Outcome, error) {
+	switch {
+	case err == nil:
+		return Success, nil
+	case fterr.Is(err, fterr.NotTolerated):
+		return Failure, nil
+	}
+	return Failure, err
+}
 
 // Result summarizes a Monte-Carlo run.
 type Result struct {

@@ -28,7 +28,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 
 	"ftnet/internal/core"
@@ -72,19 +71,6 @@ type Curve struct {
 	Workers   int
 }
 
-// Classify maps pipeline errors to Monte-Carlo outcomes: unhealthy fault
-// patterns are survival failures; anything else is a bug.
-func Classify(err error) (stats.Outcome, error) {
-	if err == nil {
-		return stats.Success, nil
-	}
-	var ue *core.UnhealthyError
-	if errors.As(err, &ue) {
-		return stats.Failure, nil
-	}
-	return stats.Failure, err
-}
-
 // curveScratch is the per-worker state bundle for curve trials and
 // probes: one scratch and the session that evaluates on it.
 type curveScratch struct {
@@ -96,7 +82,7 @@ type curveScratch struct {
 // newCurveScratch builds one worker's state. It is the only reader of
 // cfg.Dense: a dense session runs the whole-host pipeline on every Check.
 func newCurveScratch(g *core.Graph, cfg Config) *curveScratch {
-	sc := core.NewScratch(1)
+	sc := core.NewScratch()
 	return &curveScratch{sc: sc, ses: g.NewSession(sc, core.ExtractOptions{Dense: cfg.Dense})}
 }
 
@@ -105,7 +91,7 @@ func newCurveScratch(g *core.Graph, cfg Config) *curveScratch {
 // rather than the worker's previous state, then the Check.
 func (cs *curveScratch) evalFresh(faults *fault.Set) (stats.Outcome, error) {
 	cs.ses.Reset()
-	return Classify(cs.ses.Check(faults))
+	return stats.Classify(cs.ses.Check(faults))
 }
 
 // SurvivalCurve measures survival of g's Theorem 2 pipeline at every rate
@@ -165,7 +151,7 @@ func SurvivalCurve(g *core.Graph, rates []float64, trials int, seed uint64, cfg 
 				if stopped[r] {
 					continue
 				}
-				if out[r], err = Classify(cs.ses.Check(faults)); err != nil {
+				if out[r], err = stats.Classify(cs.ses.Check(faults)); err != nil {
 					return err
 				}
 			}

@@ -101,6 +101,24 @@ func RowTrace(g *core.Graph, bs *bands.Set, faults *fault.Set, emb *embed.Embedd
 	return b.String(), nil
 }
 
+// JumpingRow picks a guest row whose host image crosses a band inside
+// the window of width columns from colLo (its host rows vary across the
+// window), so RowTrace shows the diagonal jumps; row 0 when none does.
+func JumpingRow(g *core.Graph, emb *embed.Embedding, colLo, width int) int {
+	numCols := g.NumCols
+	n := g.P.N()
+	for row := 0; row < n; row++ {
+		first := emb.Map[row*numCols+colLo%n] / numCols
+		for dc := 1; dc < width; dc++ {
+			col := (colLo + dc) % n
+			if emb.Map[row*numCols+col]/numCols != first {
+				return row
+			}
+		}
+	}
+	return 0
+}
+
 // FaultWindow locates a window around the first fault, or the origin for
 // fault-free instances: a convenience for the figure experiments.
 func FaultWindow(g *core.Graph, faults *fault.Set, height, width int) (rowLo, colLo int) {

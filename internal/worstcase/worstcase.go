@@ -28,6 +28,7 @@ import (
 
 	"ftnet/internal/embed"
 	"ftnet/internal/fault"
+	"ftnet/internal/fterr"
 	"ftnet/internal/grid"
 	"ftnet/internal/torus"
 )
@@ -206,8 +207,9 @@ type Masking struct {
 }
 
 // Mask runs the per-dimension pigeonhole cascade over the faulty nodes.
-// It fails only if the fault set exceeds what the instance tolerates
-// (more than Capacity() faults, or a pattern outside the guarantee).
+// A fault set that exceeds what the instance tolerates (more than
+// Capacity() faults, or a pattern outside the guarantee) fails with an
+// fterr.NotTolerated error; any other error is a bug.
 func (g *Graph) Mask(faults *fault.Set) (*Masking, error) {
 	p := g.P
 	m := p.m
@@ -233,7 +235,7 @@ func (g *Graph) Mask(faults *fault.Set) (*Masking, error) {
 			}
 		}
 		if dim == p.D-1 && classCount[best] > 0 {
-			return nil, fmt.Errorf("worstcase: final dimension has no fault-free residue class (%d faults remain; budget exceeded)",
+			return nil, fterr.New(fterr.NotTolerated, "worstcase", "final dimension has no fault-free residue class (%d faults remain; budget exceeded)",
 				len(remaining))
 		}
 		// Mask every fault outside class `best` with a band in its slot.
@@ -249,7 +251,7 @@ func (g *Graph) Mask(faults *fault.Set) (*Masking, error) {
 			slotSet[slot] = struct{}{}
 		}
 		if len(slotSet) > p.counts[dim] {
-			return nil, fmt.Errorf("worstcase: dimension %d needs %d bands, budget is %d (budget exceeded)",
+			return nil, fterr.New(fterr.NotTolerated, "worstcase", "dimension %d needs %d bands, budget is %d (budget exceeded)",
 				dim, len(slotSet), p.counts[dim])
 		}
 		// Pad with unused slots up to exactly counts[dim] bands so the

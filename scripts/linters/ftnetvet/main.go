@@ -5,7 +5,8 @@
 //	determinism — no wall clock / math/rand in engine packages; range
 //	              over a map may not leak iteration order into
 //	              committed state (appends without a sort, channel
-//	              sends, non-commutative accumulation).
+//	              sends, non-commutative accumulation); no go
+//	              statement outside the internal/parallel trial pool.
 //	atomics     — a struct field accessed through sync/atomic anywhere
 //	              must be accessed atomically everywhere.
 //	hotpath     — //ftnet:hotpath functions contain no allocation
